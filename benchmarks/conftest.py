@@ -6,9 +6,11 @@ attacks against snapshots of the same platforms, mirroring how the paper
 evaluates all methods against one fixed trained recommender.
 
 ``report`` prints paper-style tables straight to the terminal (bypassing
-pytest capture) and appends them to ``benchmarks/results/report.txt`` so
-``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures
-both the tables and pytest-benchmark's timing summary.
+pytest capture) and appends them to ``benchmarks/results/report.txt``,
+which is emptied once at the start of each session, so a run leaves
+exactly one copy of every table it printed.  ``pytest benchmarks/
+--benchmark-only | tee bench_output.txt`` captures both the tables and
+pytest-benchmark's timing summary.
 """
 
 from __future__ import annotations
@@ -34,15 +36,23 @@ def prep_ml20m():
     return prepare_experiment(ML20M_NF)
 
 
+@pytest.fixture(scope="session")
+def report_path() -> Path:
+    """``report.txt``, truncated on first use in a session."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / "report.txt"
+    path.write_text("")
+    return path
+
+
 @pytest.fixture
-def report(capsys):
+def report(capsys, report_path):
     """Print a result block to the real terminal and persist it."""
 
     def _report(text: str) -> None:
         with capsys.disabled():
             print("\n" + text, flush=True)
-        RESULTS_DIR.mkdir(exist_ok=True)
-        with open(RESULTS_DIR / "report.txt", "a") as handle:
+        with open(report_path, "a") as handle:
             handle.write(text + "\n\n")
 
     return _report

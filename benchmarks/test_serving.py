@@ -6,11 +6,9 @@ Acceptance targets:
   per-user ``top_k`` loop and >= 5x faster on MF and NeuralCF;
 * the traffic replay reports throughput and latency percentiles, with the
   cached platform scoring strictly fewer users than it serves;
-* the sharded deployment's simulated multi-worker throughput on the MF
-  benchmark cohort reaches >= 2x the 1-shard baseline at 4 shards;
 * the *measured* wall clock of the thread-parallel execution engine at
   4 shards beats the serial fan-out by >= 1.5x on the same replay (real
-  threads overlapping real per-shard waits — not the makespan model);
+  threads overlapping real per-shard waits);
 * the process-pool engine — worker processes holding replicated shard
   state, kept in lockstep by epoch-stamped replication events — also
   beats the serial fan-out by >= 1.5x measured wall clock at 4 shards
@@ -32,7 +30,6 @@ from repro.experiments import format_table, run_serving_benchmark
 RESULTS_DIR = Path(__file__).parent / "results"
 COHORT = 64
 SPEEDUP_FLOOR = 5.0
-SHARD_SCALE_FLOOR = 2.0  # simulated throughput at 4 shards vs 1 (MF cohort)
 ENGINE_SPEEDUP_FLOOR = 1.5  # measured wall clock, threaded vs serial at 4 shards
 PROCESS_SPEEDUP_FLOOR = 1.5  # measured wall clock, process vs serial at 4 shards
 
@@ -76,25 +73,8 @@ def test_serving_batch_and_traffic(prep_ml10m, benchmark, report):
         )
         + "\n\n"
         + format_table(
-            ["deployment", "sim users/s", "scale vs 1", "imbalance"],
-            [
-                [
-                    f"{entry['n_shards']} shard(s)",
-                    entry["simulated_users_per_s"],
-                    entry["scale_vs_1"],
-                    entry["load_balance"]["imbalance"],
-                ]
-                for entry in result["shard_scaling"]["per_shard_count"].values()
-            ],
-            title=(
-                "Sharded serving (simulated makespan) — MF cohort, "
-                f"workload={result['shard_scaling']['workload']}"
-            ),
-        )
-        + "\n\n"
-        + format_table(
             ["deployment", "serial wall s", "threaded wall s", "process wall s",
-             "threaded speedup", "process speedup"],
+             "threaded speedup", "process speedup", "imbalance"],
             [
                 [
                     f"{entry['n_shards']} shard(s)",
@@ -103,11 +83,13 @@ def test_serving_batch_and_traffic(prep_ml10m, benchmark, report):
                     entry["measured"]["process_wall_s"],
                     entry["measured"]["threaded_speedup_vs_serial"],
                     entry["measured"]["process_speedup_vs_serial"],
+                    entry["load_balance"]["imbalance"],
                 ]
                 for entry in result["shard_scaling"]["per_shard_count"].values()
             ],
             title=(
-                "Sharded serving (measured wall clock) — shard RPC latency "
+                "Sharded serving (measured wall clock) — MF cohort, "
+                f"workload={result['shard_scaling']['workload']}, shard RPC latency "
                 f"{result['shard_scaling']['shard_latency_s'] * 1e3:g} ms"
             ),
         )
@@ -127,12 +109,9 @@ def test_serving_batch_and_traffic(prep_ml10m, benchmark, report):
     cached = result["traffic_cached"]
     assert cached["n_users_scored"] < cached["n_users_served"]
     assert cached["cache_hit_rate"] > 0.0
-    # Sharding must pay for itself: the simulated multi-worker makespan
-    # at 4 shards clears the acceptance floor on the MF benchmark cohort.
+    # Sharding must pay for itself: measured wall clock of the threaded
+    # fan-out beats the serial loop on the identical replay.
     four = result["shard_scaling"]["per_shard_count"]["4"]
-    assert four["scale_vs_1"] >= SHARD_SCALE_FLOOR, four
-    # And the real execution engines must too: measured wall clock of the
-    # threaded fan-out beats the serial loop on the identical replay.
     # What this gates: that the engine genuinely overlaps per-shard work
     # (the modelled RPC waits everywhere, plus GIL-releasing BLAS scoring
     # on multi-core hosts).  On a single-core runner the win is latency

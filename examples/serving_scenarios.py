@@ -19,7 +19,6 @@ from repro.recsys import BlackBoxRecommender, PopularityRecommender
 from repro.serving import (
     BackgroundTraffic,
     QuotaPolicy,
-    RecommendationService,
     ServingConfig,
     ShardedRecommendationService,
 )
@@ -27,12 +26,9 @@ from repro.serving import (
 
 def build_platform(dataset, serving_config, n_shards=1, background=None, engine="serial"):
     model = PopularityRecommender().fit(dataset.copy())
-    if n_shards > 1:
-        service = ShardedRecommendationService(
-            model, n_shards=n_shards, config=serving_config, engine=engine
-        )
-    else:
-        service = RecommendationService(model, config=serving_config)
+    service = ShardedRecommendationService(
+        model, n_shards=n_shards, config=serving_config, engine=engine
+    )
     blackbox = BlackBoxRecommender(model, service=service)
     pretend = create_pretend_users(
         blackbox, dataset.popularity(), n_users=10, profile_length=6, seed=7

@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("all", "both", "serial", "threaded", "process", "async"),
                        default="all",
                        help="execution engine(s) measured by the shard-scaling sweep: "
-                            "'serial' (sequential fan-out, simulated makespan model), "
+                            "'serial' (sequential fan-out), "
                             "'threaded' (one-worker-per-shard thread pool), 'process' "
                             "(one worker process per shard with replicated state — "
                             "parallel compute past the GIL), 'async' (event-loop "
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "or 'all' (report every engine side by side)")
     serve.add_argument("--shard-latency-ms", type=float, default=2.0,
                        help="modelled per-slice RPC latency of a remote shard worker "
-                            "(threaded engine overlaps it; excluded from simulated busy time)")
+                            "(parallel engines overlap it; excluded from per-shard wall times)")
     serve.add_argument("--json", default=None, metavar="PATH",
                        help="write the full result as JSON (e.g. BENCH_serving.json)")
 
@@ -569,30 +569,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(format_query_stats(result[label], title=label))
             print()
         scaling = result["shard_scaling"]
-        shard_rows = [
-            [f"{entry['n_shards']} shard(s)", entry["simulated_users_per_s"],
-             entry["scale_vs_1"], entry["load_balance"]["imbalance"]]
-            for entry in scaling["per_shard_count"].values()
-        ]
-        print(format_table(
-            ["deployment", "sim users/s", "scale vs 1", "imbalance"], shard_rows,
-            title=f"Shard scaling (simulated makespan) — MF cohort, "
-                  f"workload={scaling['workload']}",
-        ))
-        print()
         measured_rows = [
             [f"{entry['n_shards']} shard(s)",
              entry["measured"].get("serial_wall_s", float("nan")),
              entry["measured"].get("threaded_wall_s", float("nan")),
              entry["measured"].get("process_wall_s", float("nan")),
              entry["measured"].get("threaded_speedup_vs_serial", float("nan")),
-             entry["measured"].get("process_speedup_vs_serial", float("nan"))]
+             entry["measured"].get("process_speedup_vs_serial", float("nan")),
+             entry["load_balance"]["imbalance"]]
             for entry in scaling["per_shard_count"].values()
         ]
         print(format_table(
             ["deployment", "serial wall s", "threaded wall s", "process wall s",
-             "threaded speedup", "process speedup"], measured_rows,
-            title=f"Shard scaling (measured wall clock) — "
+             "threaded speedup", "process speedup", "imbalance"], measured_rows,
+            title=f"Shard scaling (measured wall clock) — MF cohort, "
+                  f"workload={scaling['workload']}, "
                   f"shard RPC latency {scaling['shard_latency_s'] * 1e3:g} ms",
         ))
         print()

@@ -73,13 +73,13 @@ class ExperimentConfig:
     mf_kwargs: dict = field(default_factory=lambda: {"n_factors": 8, "n_epochs": 40})
     # Serving posture the platform runs with (None = transparent: no cache,
     # no rate limits — the seed behaviour).  Attacks always route through
-    # the RecommendationService either way.
+    # the ShardedRecommendationService either way.
     serving: ServingConfig | None = None
-    # Deployment shape: n_shards > 1 fronts the model with a
-    # ShardedRecommendationService (hash or consistent routing, per-shard
-    # caches/limiters, cross-shard invalidation bus).  Parity tests pin
-    # the sharded deployment to single-service semantics, so every attack
-    # scenario runs unchanged against it.
+    # Deployment shape: how many shards the service partitions users
+    # over (hash or consistent routing, per-shard caches/limiters,
+    # cross-shard invalidation bus).  Parity tests pin served lists to
+    # be identical at every shard count, so every attack scenario runs
+    # unchanged against any of them.
     n_shards: int = 1
     shard_routing: str = "hash"  # "hash" | "consistent"
     # Organic contention: name of a repro.serving.workload model replayed

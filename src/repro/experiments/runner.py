@@ -38,7 +38,7 @@ from repro.recsys.blackbox import BlackBoxRecommender
 from repro.recsys.mf import MatrixFactorization
 from repro.recsys.promotion import evaluate_promotion, promotion_candidates
 from repro.recsys.training import TrainedTarget, train_target_model
-from repro.serving import BackgroundTraffic, RecommendationService, ShardedRecommendationService
+from repro.serving import BackgroundTraffic, ShardedRecommendationService
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng, spawn
 
@@ -119,16 +119,13 @@ def prepare_experiment(
         from repro.defense.detector import ShillingDetector
 
         detector = ShillingDetector().fit(trained.train_dataset)
-    if config.n_shards > 1:
-        service = ShardedRecommendationService(
-            trained.model,
-            n_shards=config.n_shards,
-            config=serving,
-            detector=detector,
-            routing=config.shard_routing,
-        )
-    else:
-        service = RecommendationService(trained.model, config=serving, detector=detector)
+    service = ShardedRecommendationService(
+        trained.model,
+        n_shards=config.n_shards,
+        config=serving,
+        detector=detector,
+        routing=config.shard_routing,
+    )
     blackbox = BlackBoxRecommender(trained.model, service=service)
     eval_users = list(range(trained.train_dataset.n_users))
     pretend_ids = create_pretend_users(

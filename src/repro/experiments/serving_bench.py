@@ -12,15 +12,14 @@ in ``benchmarks/test_serving.py``:
   dominated by the fusion head and real deployments run wider), trained
   for only a couple of epochs — scoring cost does not depend on model
   quality.
-* **traffic replay** — organic Zipf load through the
-  :class:`~repro.serving.service.RecommendationService`, uncached vs
-  cached (with background injections exercising invalidation), reporting
-  throughput and latency percentiles.
-* **shard scaling** — the sharded deployment replayed per shard count,
-  reporting the historical *simulated* makespan model and the *measured*
-  wall clock of the real execution engines (serial fan-out, the
-  thread-parallel worker pool, and the process pool with replicated
-  shard state) side by side.
+* **traffic replay** — organic Zipf load through a one-shard
+  :class:`~repro.serving.sharded.ShardedRecommendationService`, uncached
+  vs cached (with background injections exercising invalidation),
+  reporting throughput and latency percentiles.
+* **shard scaling** — the service replayed per shard count, reporting
+  the *measured* wall clock of the real execution engines (serial
+  fan-out, the thread-parallel worker pool, and the process pool with
+  replicated shard state) side by side.
 
 The platform model is snapshotted around the replay so the shared
 prepared experiment is returned to its pre-benchmark state.
@@ -40,11 +39,11 @@ from repro.serving import (
     ENGINES,
     AsyncServingFront,
     FrontConfig,
-    RecommendationService,
     ServingConfig,
     ShardedRecommendationService,
     StageTimers,
     TrafficPattern,
+    TrafficReport,
     TrafficSimulator,
     open_loop_plan,
     profile_callable,
@@ -92,61 +91,29 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _best_replay(
+def _fastest_replay(
     model: Recommender,
     n_shards: int,
     engine: str,
     pattern: TrafficPattern,
     repeats: int,
     shard_latency_s: float,
-):
-    """Best-of ``repeats`` replays on fresh services under one engine.
+) -> tuple[TrafficReport, dict[str, float]]:
+    """The fastest of ``repeats`` fresh-service replays under one engine.
 
-    Returns ``(report, service, wall_s)`` where ``report``/``service``
-    belong to the minimal-*makespan* trial (the simulated-model pick) and
-    ``wall_s`` is the minimal *measured* duration over all trials — the
-    two minima may come from different trials, which is exactly what
-    best-of means for each quantity.  The caller owns closing the
-    returned service.
+    Returns that trial's report and its service's load balance.  Each
+    trial's service (and its worker pool, under the parallel engines) is
+    closed as soon as the replay ends.
     """
-    best_report, best_service = None, None
-    best_wall = float("inf")
-    for _ in range(max(1, repeats)):
-        service = ShardedRecommendationService(
-            model, n_shards=n_shards, engine=engine, shard_latency_s=shard_latency_s
-        )
-        report = TrafficSimulator(pattern).run(service)
-        best_wall = min(best_wall, report.duration_s)
-        if best_report is None or report.makespan_s < best_report.makespan_s:
-            if best_service is not None:
-                best_service.close()
-            best_report, best_service = report, service
-        else:
-            service.close()
-    return best_report, best_service, best_wall
-
-
-def _min_wall_replay(
-    model: Recommender,
-    n_shards: int,
-    engine: str,
-    pattern: TrafficPattern,
-    repeats: int,
-    shard_latency_s: float,
-) -> float:
-    """Minimal measured wall clock over ``repeats`` fresh-service replays.
-
-    The measured comparison only needs the wall time, so each trial's
-    service (and its worker pool, under the threaded engine) is closed
-    as soon as the replay ends.
-    """
-    best_wall = float("inf")
+    best: tuple[TrafficReport, dict[str, float]] | None = None
     for _ in range(max(1, repeats)):
         with ShardedRecommendationService(
             model, n_shards=n_shards, engine=engine, shard_latency_s=shard_latency_s
         ) as service:
-            best_wall = min(best_wall, TrafficSimulator(pattern).run(service).duration_s)
-    return best_wall
+            report = TrafficSimulator(pattern).run(service)
+            if best is None or report.duration_s < best[0].duration_s:
+                best = (report, service.load_balance())
+    return best
 
 
 def run_shard_scaling(
@@ -161,39 +128,32 @@ def run_shard_scaling(
     engines: Sequence[str] = ("serial", "threaded", "process"),
     shard_latency_s: float = 0.002,
 ) -> dict:
-    """Throughput scaling of the sharded deployment over ``shard_counts``.
+    """Measured throughput scaling of the service over ``shard_counts``.
 
     Each shard count replays the same workload-shaped, fixed-cohort
-    request stream through a :class:`ShardedRecommendationService` and
-    reports two views side by side:
-
-    * **simulated** (latency-free serial replay, the historical model) —
-      shards are independent workers, so the replay's parallel wall time
-      is the busiest shard's accumulated busy time (the coordinator's
-      merge cost is excluded, as it would run on its own node).  ``scale_vs_1`` is
-      the simulated users/s relative to the 1-shard baseline — the
-      ``>= 2x at 4 shards`` acceptance number in ``BENCH_serving.json``.
-    * **measured** (``entry["measured"]``) — real wall clock of the same
-      replay under each requested engine.  ``shard_latency_s`` models the
-      per-slice RPC/service latency of a remote shard worker (excluded
-      from busy time, so simulated numbers stay pure compute): the
-      threaded and process engines overlap those waits — and the
-      GIL-releasing BLAS scoring (threads, multi-core hosts) or *all*
-      python-level scoring (processes) — across shards, while the serial
-      engine pays them in sequence.  ``<engine>_speedup_vs_serial`` is
-      the measured wall-clock ratio of each parallel engine against the
-      serial fan-out at the same shard count (the real-execution
-      acceptance numbers; the legacy ``speedup_vs_serial`` key remains
-      the threaded ratio), and measured ``scale_vs_1`` compares each
-      engine's users/s against its own 1-shard baseline.
+    request stream through a :class:`ShardedRecommendationService` under
+    every requested engine and records the real wall clock
+    (``entry["measured"]``).  ``shard_latency_s`` models the per-slice
+    RPC/service latency of a remote shard worker: the threaded and
+    process engines overlap those waits — and the GIL-releasing BLAS
+    scoring (threads, multi-core hosts) or *all* python-level scoring
+    (processes) — across shards, while the serial engine pays them in
+    sequence.  ``<engine>_speedup_vs_serial`` is the measured wall-clock
+    ratio of each parallel engine against the serial fan-out at the same
+    shard count (the legacy ``speedup_vs_serial`` key remains the
+    threaded ratio), and ``<engine>_scale_vs_1`` compares each engine's
+    users/s against its own 1-shard baseline.  ``load_balance`` (how
+    evenly routing spread the served users) comes from the first
+    engine's fastest trial; routing is deterministic, so every trial
+    agrees on it.
 
     Uses whole-cohort requests (``cohort_size`` users each) so per-shard
     work is scoring-dominated rather than per-request overhead.  A
     1-shard deployment is always included — it is the ``scale_vs_1``
     denominator even when ``shard_counts`` omits it.  Each
     (deployment, engine) pair replays ``repeats`` times on a fresh
-    service and keeps the best run per quantity, so one scheduler hiccup
-    on a busy machine cannot skew the ratios.
+    service and keeps the fastest run, so one scheduler hiccup on a busy
+    machine cannot skew the ratios.
     """
     engines = tuple(engines)
     if not engines or any(e not in ENGINES for e in engines):
@@ -211,44 +171,20 @@ def run_shard_scaling(
         horizon_ticks=max(1, n_requests // 3),
     )
     results: dict[str, dict] = {}
-    sim_baseline = 0.0
     measured_baselines: dict[str, float] = {}
     for n_shards in sorted({1} | {int(c) for c in shard_counts}):
-        # Measured wall clocks per requested engine, with the latency
-        # model applied (services close as soon as each trial ends).
-        walls = {
-            engine: _min_wall_replay(
-                model, n_shards, engine, pattern, repeats, shard_latency_s
-            )
+        trials = {
+            engine: _fastest_replay(model, n_shards, engine, pattern, repeats, shard_latency_s)
             for engine in engines
-            if not (engine == "serial" and shard_latency_s == 0)
         }
-        # Simulated-model fields come from a latency-free serial replay:
-        # worker-thread busy times interleave on loaded hosts, and the
-        # modelled RPC sleeps leave the CPU cold before each timed slice,
-        # either of which would corrupt the pure-compute makespan model.
-        # With the latency model off this replay doubles as the measured
-        # serial run.
-        report, service, sim_wall = _best_replay(
-            model, n_shards, "serial", pattern, repeats, 0.0
-        )
-        if "serial" in engines and "serial" not in walls:
-            walls["serial"] = sim_wall
+        report, balance = trials[engines[0]]
         entry = {
             "n_shards": n_shards,
             "n_requests": report.n_requests,
             "n_users_served": report.n_users_served,
-            "makespan_s": report.makespan_s,
-            "simulated_users_per_s": report.simulated_users_per_s,
-            "measured_users_per_s": report.users_per_s,
-            "load_balance": service.load_balance(),
+            "load_balance": balance,
         }
-        service.close()
-        if n_shards == 1:
-            sim_baseline = report.simulated_users_per_s
-        entry["scale_vs_1"] = (
-            report.simulated_users_per_s / sim_baseline if sim_baseline > 0 else 0.0
-        )
+        walls = {engine: trial.duration_s for engine, (trial, _) in trials.items()}
         measured: dict[str, float] = {}
         for engine in engines:
             wall = walls[engine]
@@ -261,7 +197,7 @@ def run_shard_scaling(
             measured[f"{engine}_scale_vs_1"] = users_per_s / baseline if baseline > 0 else 0.0
         if "serial" in walls:
             for other in engines:
-                if other == "serial" or other not in walls:
+                if other == "serial":
                     continue
                 measured[f"{other}_speedup_vs_serial"] = (
                     walls["serial"] / walls[other] if walls[other] > 0 else 0.0
@@ -684,11 +620,11 @@ def run_serving_benchmark(
 
     # Traffic replay: uncached vs cached-with-injections, on the target model.
     pattern = TrafficPattern(n_requests=n_requests, k=k, seed=seed)
-    uncached_service = RecommendationService(target_model)
+    uncached_service = ShardedRecommendationService(target_model)
     base_snapshot = uncached_service.snapshot()
     uncached = TrafficSimulator(pattern).run(uncached_service).to_dict()
 
-    cached_service = RecommendationService(
+    cached_service = ShardedRecommendationService(
         target_model, config=ServingConfig(cache_capacity=4096)
     )
     cached_pattern = TrafficPattern(
@@ -700,7 +636,7 @@ def run_serving_benchmark(
     # Shard scaling on the MF benchmark cohort (the source-domain model the
     # cohort-speedup rows time), replayed under a shaped workload.  The
     # scaling cohort is floored at 64 users: smaller cohorts leave too few
-    # users per shard for the makespan measurement to be stable.
+    # users per shard for the wall-clock measurement to be stable.
     shard_cohort = min(max(64, len(source_cohort)), prep.cross.source.n_users)
     shard_scaling = run_shard_scaling(
         prep.mf,

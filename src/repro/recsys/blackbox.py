@@ -6,7 +6,7 @@ Top-k recommended items for specific users."*  Plus, of course, the
 ability to register new users with chosen profiles (the injection).
 
 :class:`BlackBoxRecommender` enforces that boundary in code: it wraps the
-platform's :class:`~repro.serving.service.RecommendationService` and
+platform's :class:`~repro.serving.sharded.ShardedRecommendationService` and
 exposes *only*
 
 * :meth:`query` — top-k lists for given user ids (counted), and
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.recsys.base import Recommender
-from repro.serving.service import RecommendationService
+from repro.serving.sharded import ShardedRecommendationService
 
 __all__ = ["BlackBoxRecommender", "QueryLog"]
 
@@ -89,10 +89,10 @@ class BlackBoxRecommender:
     model:
         The fitted target recommender.
     service:
-        Optional pre-configured :class:`RecommendationService` fronting
-        ``model`` (cache / rate limits / detector).  When omitted, a
-        transparent service is built — no cache, no limits — which is
-        byte-for-byte the seed behaviour.
+        Optional pre-configured :class:`ShardedRecommendationService`
+        fronting ``model`` (shards / cache / rate limits / detector).
+        When omitted, a transparent one-shard service is built — no
+        cache, no limits — which is byte-for-byte the seed behaviour.
     client:
         The client identity under which the attacker's requests are rate
         limited.
@@ -101,13 +101,13 @@ class BlackBoxRecommender:
     def __init__(
         self,
         model: Recommender,
-        service: RecommendationService | None = None,
+        service: ShardedRecommendationService | None = None,
         client: str = "attacker",
     ) -> None:
         if not model.is_fitted:
             raise ConfigurationError("black-box wrapper requires a fitted model")
         if service is None:
-            service = RecommendationService(model)
+            service = ShardedRecommendationService(model)
         elif service.model is not model:
             raise ConfigurationError("service must front the same model instance")
         self._model = model
@@ -116,7 +116,7 @@ class BlackBoxRecommender:
         self.log = QueryLog()
 
     @property
-    def service(self) -> RecommendationService:
+    def service(self) -> ShardedRecommendationService:
         """The serving stack (platform-side handle for stats/config)."""
         return self._service
 

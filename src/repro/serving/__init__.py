@@ -1,19 +1,16 @@
 """Production serving subsystem: service, shards, cache, quotas, traffic.
 
-Architecture (request order)::
-
-    client -> RateLimiter -> TopKCache -> Recommender.top_k_batch
-                 |                ^
-                 +-- inject() ----+-- optional detector screening
-
-and, sharded (``ShardedRecommendationService``)::
+Architecture (request order) of the one service class,
+``ShardedRecommendationService`` — ``n_shards`` defaults to 1 on the
+serial engine::
 
     client -> coordinator -> [shard_0 .. shard_{N-1}]   hash / consistent-hash
-                 |              each: RateLimiter + TopKCache
-                 +-- inject() -> InvalidationBus -> every shard
+                 |              each: RateLimiter + TopKCache -> top_k_batch
+                 +-- inject() -> detector screening -> InvalidationBus -> every shard
 
-See :mod:`repro.serving.service` for the composition,
-:mod:`repro.serving.sharded` for the multi-worker deployment,
+See :mod:`repro.serving.sharded` for the service,
+:mod:`repro.serving.service` for its configuration, accounting and
+slice resolution,
 :mod:`repro.serving.engine` for the serial/threaded/process/async
 execution engines resolving per-shard work, :mod:`repro.serving.replica`
 for the process-engine replication protocol (epoch-stamped events,
@@ -66,7 +63,6 @@ from repro.serving.rollout import (
     RolloutGuard,
 )
 from repro.serving.service import (
-    RecommendationService,
     ServiceStats,
     ServingConfig,
     resolve_slice,
@@ -112,7 +108,6 @@ __all__ = [
     "QuotaPolicy",
     "RateLimiter",
     "UNLIMITED",
-    "RecommendationService",
     "ServingConfig",
     "ServiceStats",
     "ShardedRecommendationService",

@@ -1,21 +1,19 @@
 """Execution engines: how the coordinator resolves per-shard work.
 
-The sharded deployment fans one batched request out into independent
+The service (:class:`~repro.serving.sharded.ShardedRecommendationService`,
+one shard by default) fans one batched request out into independent
 per-shard resolution tasks (cache lookups, one ``top_k_batch`` over the
 misses, stores, stat recording).  *How* those tasks run is an execution
 policy, not serving semantics, so it lives behind the
-:class:`ExecutionEngine` interface:
+:class:`ExecutionEngine` interface.  Every engine's throughput is
+measured wall clock:
 
 * :class:`SerialEngine` — the tasks run in the coordinator thread, one
-  after another.  This is the historical behaviour; per-shard busy times
-  still feed the *simulated* makespan model (parallel wall time = the
-  busiest worker's accumulated busy time).
+  after another.  This is the default.
 * :class:`ThreadedEngine` — a persistent ``ThreadPoolExecutor`` with one
   worker per shard resolves the slices concurrently.  numpy releases the
   GIL inside BLAS, and per-shard service latency (the RPC hop a remote
-  shard worker costs in a real deployment) overlaps across shards, so
-  the replay's wall clock is *measured* parallel time rather than a
-  model of it.
+  shard worker costs in a real deployment) overlaps across shards.
 * :class:`ProcessEngine` — one persistent single-worker
   ``ProcessPoolExecutor`` **per shard**, so CPU-heavy scoring (MF dot
   products, NeuralCF forward passes) parallelises past the GIL.  Process
@@ -52,7 +50,7 @@ engine-conformance suite pins this for every recommender and shard
 count (``tests/test_engine_conformance.py``).
 
 The module also provides :class:`ReadWriteLock`, the coordination
-primitive the sharded service uses to let concurrent queries share the
+primitive the service uses to let concurrent queries share the
 model (readers) while injections and episode restores mutate it
 exclusively (writers, with writer preference so a pending injection is
 not starved by a stream of organic queries).

@@ -1,8 +1,8 @@
 """Hot-path profiling: per-stage wall-clock timers and cProfile capture.
 
-The measured-vs-simulated throughput gap lives in coordinator overhead —
+Much of a request's measured wall clock is coordinator overhead —
 per-request Python work between "request arrives" and "model scores" —
-so closing it needs attribution finer than one wall-clock number.  This
+so reducing it needs attribution finer than one wall-clock number.  This
 module provides the two views the ``repro-bench profile`` subcommand
 reports side by side:
 
@@ -31,8 +31,8 @@ __all__ = ["STAGES", "StageTimers", "profile_callable", "top_functions"]
 
 #: Hot-path stages in request order.  ``queue`` is admission-queue wait
 #: at the async front (arrival → service start; zero everywhere else),
-#: ``admission`` rate-limit admission, ``routing`` the shard grouping
-#: (sharded deployments only), ``cache`` batched lookup + store,
+#: ``admission`` rate-limit admission, ``routing`` the shard grouping,
+#: ``cache`` batched lookup + store,
 #: ``scoring`` the model's ``top_k_batch``, ``merge`` the scatter back
 #: into request order.
 STAGES = ("queue", "admission", "routing", "cache", "scoring", "merge")

@@ -171,10 +171,9 @@ class ReplicaAck:
 
 
 # resolve_slice — the single definition of slice semantics — lives in
-# repro.serving.service (the single service's query path routes through
-# it too, and service cannot import from here without a cycle).  It is
-# re-exported so worker-process call sites keep importing it from the
-# replica protocol module.
+# repro.serving.service (the coordinator's in-memory engines route
+# through it too).  It is re-exported so worker-process call sites keep
+# importing it from the replica protocol module.
 
 
 class _GlobalView:

@@ -1,24 +1,19 @@
-"""The simulated production platform in front of the recommender.
+"""Serving configuration, request accounting, and slice resolution.
 
-Every consumer of recommendations — the attacker's black-box facade, the
-promotion evaluator, the organic traffic simulator — goes through
-:class:`RecommendationService` instead of touching the model directly.
-The service composes, in request order:
+The platform itself is
+:class:`~repro.serving.sharded.ShardedRecommendationService`: one service
+with ``n`` shards, defaulting to one shard on the serial engine.  This
+module holds the pieces every deployment shares, including process-engine
+replicas that import them without the coordinator:
 
-1. **rate limiting** — per-client quota policies (QPS caps, cohort-size
-   caps, injection throttles) from :mod:`repro.serving.rate_limit`;
-2. **top-k caching** — an LRU cache with strict or staleness-horizon
-   invalidation from :mod:`repro.serving.cache`;
-3. **batched scoring** — cache misses for a request are folded into one
-   :meth:`~repro.recsys.base.Recommender.top_k_batch` call, so a cohort
-   query costs one matrix op instead of a per-user Python loop;
-4. **online detection** — an optional fake-profile detector screens
-   injections at the boundary (flag or block), moving
-   :mod:`repro.defense` from post-hoc analysis into the serving path.
-
-Snapshot/restore preserves black-box episode semantics: restoring rolls
-the model back *and* flushes the cache, so a reset platform never serves
-lists computed against dropped injections.
+* :class:`ServingConfig` — the declarative serving posture (cache size
+  and staleness horizon, quota policies, detector mode, execution
+  engine, replication mode);
+* :class:`ServiceStats` — thread-safe per-request accounting, with
+  denials split by cause;
+* :func:`resolve_slice` — the single definition of how one slice of
+  users is served: a batched cache pass, then one ``top_k_batch`` over
+  the deduplicated misses.
 """
 
 from __future__ import annotations
@@ -26,26 +21,21 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    InjectionBlockedError,
-    RateLimitExceededError,
-    SnapshotError,
-)
+from repro.errors import ConfigurationError
 from repro.serving.cache import TopKCache
 from repro.serving.engine import ENGINES
 from repro.serving.metrics import percentile_summary
-from repro.serving.rate_limit import UNLIMITED, QuotaPolicy, RateLimiter
+from repro.serving.rate_limit import UNLIMITED, QuotaPolicy
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.recsys
     from repro.recsys.base import Recommender
     from repro.serving.profiling import StageTimers
 
-__all__ = ["RecommendationService", "ServingConfig", "ServiceStats", "resolve_slice"]
+__all__ = ["ServingConfig", "ServiceStats", "resolve_slice"]
 
 _DETECTOR_MODES = ("off", "flag", "block")
 
@@ -64,13 +54,13 @@ class ServingConfig:
     default_policy: QuotaPolicy = UNLIMITED
     client_policies: tuple[tuple[str, QuotaPolicy], ...] = ()
     detector_mode: str = "off"  # off | flag | block
-    # How the sharded coordinator resolves per-shard slices: "serial"
-    # (sequential loop; simulated-makespan accounting), "threaded"
-    # (persistent one-worker-per-shard thread pool; measured parallel
-    # wall clock), or "process" (one worker process per shard holding a
+    # How the service resolves per-shard slices: "serial" (sequential
+    # loop, the default), "threaded" (persistent one-worker-per-shard
+    # thread pool), "process" (one worker process per shard holding a
     # replicated shard state, kept in lockstep by epoch-stamped
-    # replication events — parallel compute past the GIL).  The single
-    # service has no shards and ignores this field.
+    # replication events — parallel compute past the GIL), or "async"
+    # (slices as coroutines on the caller's event loop).  Every engine
+    # serves identical lists; they differ in measured wall clock.
     engine: str = "serial"
     # How process-engine replicas hold model state: "sliced" partitions
     # per-user state by shard and shares the item side through
@@ -98,9 +88,10 @@ class ServingConfig:
 class ServiceStats:
     """Per-request accounting for throughput/latency reporting.
 
-    ``record_request`` is thread-safe: the sharded deployment's threaded
-    engine records the coordinator's stats from whichever client thread
-    issued the request, and each shard's stats from its worker thread.
+    ``record_request`` is thread-safe: the threaded engine records the
+    coordinator's stats from whichever client thread issued the request,
+    and each shard's stats from its worker thread.  The injection
+    counters are written only under the service's model write lock.
 
     Denial accounting is *split by cause*: ``n_rate_limited`` counts
     quota denials (the limiter raised on admission — the client spent
@@ -252,12 +243,11 @@ def resolve_slice(
     """Resolve one slice of users: batched cache pass, one batch of misses.
 
     This is the **single definition of slice semantics**, shared by every
-    resolution path: the single service's query, the sharded in-memory
-    engines (which call it from the coordinator process under the
-    shard's lock), and process-engine worker replicas — so cache
-    hit/miss counters and served lists are identical across deployments
-    by construction, not by parallel maintenance of duplicate code
-    paths.
+    resolution path: the in-memory engines (which call it from the
+    coordinator process under the shard's lock) and process-engine
+    worker replicas — so cache hit/miss counters and served lists are
+    identical across engines by construction, not by parallel
+    maintenance of duplicate code paths.
 
     The hot path is vectorised: one :meth:`TopKCache.lookup_batch` pass
     over the slice, miss users deduplicated with ``np.unique`` (which
@@ -299,229 +289,13 @@ def resolve_slice(
     return int(unique_users.size), results
 
 
-@dataclass(frozen=True)
-class _ServiceSnapshot:
-    """Model snapshot plus the user count it must restore to."""
+def __getattr__(name: str):
+    # The benchmark harness's probe table (perfbench/probes.py) still
+    # resolves the pre-merge class path "repro.serving.service:
+    # RecommendationService" to time query/inject/restore; answer it
+    # with the one service class.  Not exported.
+    if name == "RecommendationService":
+        from repro.serving.sharded import ShardedRecommendationService
 
-    model_snapshot: object
-    n_users: int
-
-
-class RecommendationService:
-    """Cache- and quota-fronted facade over a fitted recommender."""
-
-    def __init__(
-        self,
-        model: Recommender,
-        config: ServingConfig | None = None,
-        detector: object | None = None,
-        clock: Callable[[], float] = time.perf_counter,
-        limiter_clock: Callable[[], float] | None = None,
-    ) -> None:
-        if not model.is_fitted:
-            raise ConfigurationError("RecommendationService requires a fitted model")
-        config = config if config is not None else ServingConfig()
-        if config.detector_mode != "off" and detector is None:
-            raise ConfigurationError(
-                f"detector_mode={config.detector_mode!r} requires a fitted detector"
-            )
-        self._model = model
-        self.config = config
-        self.detector = detector
-        self._clock = clock
-        self.cache = self._make_cache()
-        limiter_kwargs = {} if limiter_clock is None else {"clock": limiter_clock}
-        per_client = dict(config.client_policies)
-        # Evaluation-side ground-truth reads are exempt unless a config
-        # explicitly limits them (environment.measure relies on this).
-        per_client.setdefault("evaluator", UNLIMITED)
-        self.limiter = RateLimiter(
-            default_policy=config.default_policy,
-            per_client=per_client,
-            **limiter_kwargs,
-        )
-        self.stats = ServiceStats()
-        self.flagged_injections: list[tuple[int, float]] = []
-        # Optional hot-path instrumentation: attach a
-        # repro.serving.profiling.StageTimers to split query wall clock
-        # into admission/routing/cache/scoring/merge stages.  None keeps
-        # the query path uninstrumented (one attribute check per stage).
-        self.profiler: "StageTimers | None" = None
-
-    def _make_cache(self) -> TopKCache | None:
-        """Coordinator-level cache (the sharded deployment keeps none)."""
-        if self.config.cache_capacity <= 0:
-            return None
-        return TopKCache(
-            capacity=self.config.cache_capacity,
-            ttl_injections=self.config.ttl_injections,
-            n_items=self._model.dataset.n_items,
-        )
-
-    # -- public surface -------------------------------------------------------
-    @property
-    def model(self) -> Recommender:
-        """The backing model (platform-side access; attackers use the facade)."""
-        return self._model
-
-    @property
-    def n_items(self) -> int:
-        return self._model.dataset.n_items
-
-    @property
-    def n_users(self) -> int:
-        return self._model.dataset.n_users
-
-    def query(
-        self,
-        user_ids: Sequence[int],
-        k: int,
-        exclude_seen: bool = True,
-        client: str = "default",
-        use_cache: bool = True,
-    ) -> list[np.ndarray]:
-        """Top-``k`` lists for ``user_ids``, batched across cache misses.
-
-        ``use_cache=False`` bypasses the result cache entirely (no lookup,
-        no store) — the evaluation side uses it for ground-truth reads that
-        must not observe or pollute staleness state.
-        """
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
-        start = self._clock()
-        users = np.asarray(user_ids, dtype=np.int64)
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
-        try:
-            self.limiter.admit_query(client, int(users.size))
-        except RateLimitExceededError:
-            self.stats.record_rate_limited()
-            raise
-        if profiler is not None:
-            profiler.add("admission", time.perf_counter() - t0, int(users.size))
-        n_scored, results = resolve_slice(
-            self._model, self.cache, users, k, exclude_seen, use_cache, profiler=profiler
-        )
-        self.stats.record_request(int(users.size), n_scored, self._clock() - start)
-        return list(results)
-
-    def inject(self, profile: Sequence[int], client: str = "default") -> int:
-        """Register a new user profile, subject to throttles and screening."""
-        try:
-            self._admit_injection(client)
-        except RateLimitExceededError:
-            self.stats.record_rate_limited()
-            raise
-        flagged_score = self._screen_profile(profile)
-        user_id = self._model.add_user(profile)
-        if flagged_score is not None:
-            # Record the *assigned* id, after add_user has run.  Screening
-            # happens before the id exists, so predicting it from
-            # dataset.n_users inside _screen_profile was correct only by
-            # coincidence of call order.
-            self.flagged_injections.append((user_id, flagged_score))
-        self.stats.n_injections += 1
-        self._invalidate_after_injection(user_id)
-        return user_id
-
-    def inject_batch(self, profiles: Sequence[Sequence[int]], client: str = "default") -> list[int]:
-        """Register several profiles; each is admitted and screened in turn.
-
-        The base implementation is a convenience loop.  The sharded
-        process deployment overrides it to coalesce the whole burst into
-        one batched replication event per shard round trip.  On a
-        mid-batch denial (quota or detector block) the profiles admitted
-        before the failure stay injected and the error propagates —
-        matching what the equivalent :meth:`inject` loop would leave
-        behind.
-        """
-        return [self.inject(profile, client) for profile in profiles]
-
-    # -- injection pipeline hooks (overridden by the sharded deployment) ------
-    def _admit_injection(self, client: str) -> None:
-        """Route the injection admission to the client's quota state."""
-        self.limiter.admit_injection(client)
-
-    def _screen_profile(self, profile: Sequence[int]) -> float | None:
-        """Optional online-detector screening at the injection boundary.
-
-        Returns the detector score when the profile is flagged (caller
-        records it against the id ``add_user`` actually assigns), None
-        when screening is off or the profile passes; raises when the
-        detector blocks.
-        """
-        if self.config.detector_mode == "off":
-            return None
-        score = float(self.detector.score(tuple(int(v) for v in profile)))
-        if score > self.detector.threshold:
-            self.stats.n_flagged_injections += 1
-            if self.config.detector_mode == "block":
-                self.stats.n_blocked_injections += 1
-                raise InjectionBlockedError(
-                    f"profile rejected by online detector (score {score:.3f} "
-                    f"> threshold {self.detector.threshold:.3f})"
-                )
-            return score
-        return None
-
-    def _invalidate_after_injection(self, user_id: int) -> None:
-        """Tell caching state that the model shifted under it."""
-        if self.cache is not None:
-            self.cache.note_injection()
-
-    def cache_stats(self):
-        """Aggregate :class:`~repro.serving.cache.CacheStats` view (or None).
-
-        The single service has exactly one cache; the sharded deployment
-        overrides this to sum per-shard counters.  Traffic reporting uses
-        this accessor so both deployments report hit rates uniformly.
-        """
-        return self.cache.stats if self.cache is not None else None
-
-    # -- episode management ---------------------------------------------------
-    def snapshot(self) -> _ServiceSnapshot:
-        """Capture model state together with its user count."""
-        return _ServiceSnapshot(
-            model_snapshot=self._model.snapshot(),
-            n_users=self._model.dataset.n_users,
-        )
-
-    def restore(self, snapshot: _ServiceSnapshot) -> None:
-        """Roll the platform back to a clean episode boundary.
-
-        An episode reset is simulation control, so *every* externally
-        observable piece of serving state returns to the
-        freshly-constructed baseline, not just the model:
-
-        * the cache is flushed and its hit/miss/eviction counters reset —
-          a reset platform never serves (or reports) work from a dropped
-          episode;
-        * rate-limiter windows, quotas, and denial counters reset —
-          injections undone by the rollback must not keep consuming a
-          client's quota, and denials from dead episodes must not skew
-          per-episode budget accounting;
-        * request stats reset — makespan/throughput reports never
-          double-count rolled-back traffic;
-        * ``flagged_injections`` is cleared — flagged records reference
-          user ids that no longer exist after the model rollback.
-        """
-        if not isinstance(snapshot, _ServiceSnapshot):
-            raise SnapshotError("restore expects a snapshot from RecommendationService.snapshot")
-        if snapshot.n_users > self._model.dataset.n_users:
-            raise SnapshotError(
-                f"snapshot records {snapshot.n_users} users but the platform only has "
-                f"{self._model.dataset.n_users}; snapshots must be restored onto a "
-                "later-or-equal state"
-            )
-        self._model.restore(snapshot.model_snapshot)
-        if self._model.dataset.n_users != snapshot.n_users:
-            raise SnapshotError(
-                f"model restore produced {self._model.dataset.n_users} users, "
-                f"snapshot recorded {snapshot.n_users}"
-            )
-        if self.cache is not None:
-            self.cache.flush()
-            self.cache.stats.reset()
-        self.limiter.reset()
-        self.stats.reset()
-        self.flagged_injections.clear()
+        return ShardedRecommendationService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,41 +1,47 @@
-"""Sharded multi-worker deployment of the recommendation service.
+"""The recommendation service: a coordinator over ``n`` worker shards.
 
-A production platform at the ROADMAP's target scale does not serve every
-user from one process: the user base is partitioned across worker shards,
-each holding its own result cache and quota state, with a thin
-coordinator that fans batched queries out and merges the results.  This
-module models that deployment while **pinning its externally observable
-behaviour to the single-service semantics** of
-:class:`~repro.serving.service.RecommendationService` (the parity test
-harness in ``tests/test_serving_sharded_parity.py`` enforces element-wise
-identical top-k lists):
+Every consumer of recommendations — the attacker's black-box facade, the
+promotion evaluator, the organic traffic simulator — goes through
+:class:`ShardedRecommendationService` instead of touching the model
+directly.  It is the platform's one service implementation: ``n_shards``
+defaults to 1 on the serial engine, which is the plain single-process
+deployment, and larger fleets partition the user base across worker
+shards, each holding its own result cache and quota state, with a thin
+coordinator that fans batched queries out and merges the results.  A
+request passes, in order:
 
-* **routing** — users map to shards by stable hash
-  (:class:`ShardRouter`) or over a consistent-hash ring
-  (:class:`ConsistentHashRouter`, which moves only ~1/n of the keys when
-  a shard is added).  A client's quota state lives on one home shard, so
-  per-shard rate limiting is observationally identical to a global
-  limiter.
-* **per-shard caches** — each shard owns an LRU
-  :class:`~repro.serving.cache.TopKCache`.  Because duplicate users in a
-  request always route to the same shard, per-request dedup/batching
-  matches the single service exactly.
-* **invalidation bus** — every injection is published on an
-  :class:`InvalidationBus` that all shards subscribe to, so strict mode
-  never serves a stale list from *any* shard and TTL mode advances every
-  shard's staleness clock in lockstep (identical to the single cache's
-  version counter).
+1. **admission** — the client's home-shard
+   :class:`~repro.serving.rate_limit.RateLimiter` applies its quota
+   policy (QPS caps, cohort-size caps, injection throttles);
+2. **routing** — users map to shards by stable hash
+   (:class:`ShardRouter`) or over a consistent-hash ring
+   (:class:`ConsistentHashRouter`, which moves only ~1/n of the keys when
+   a shard is added);
+3. **per-shard caching and batched scoring** — each shard resolves its
+   slice through :func:`~repro.serving.service.resolve_slice` against its
+   own LRU :class:`~repro.serving.cache.TopKCache`, folding the misses
+   into one ``top_k_batch`` call;
+4. **online detection** — an optional fake-profile detector screens
+   injections at the boundary (flag or block).
+
+Because a client's admissions all land on its home shard and duplicate
+users in a request always route to the same shard, the fleet's quota,
+dedup and batching behaviour does not depend on the shard count (the
+parity and engine-conformance suites pin element-wise identical top-k
+lists against a single-cache reference).  Every injection is published
+on an :class:`InvalidationBus` that all shards subscribe to, so strict
+mode never serves a stale list from *any* shard and TTL mode advances
+every shard's staleness clock in lockstep.  Snapshot/restore preserves
+black-box episode semantics: restoring rolls the model back *and*
+resets every shard, so a reset platform never serves lists computed
+against dropped injections.
 
 How a request's per-shard slices execute is an
 :class:`~repro.serving.engine.ExecutionEngine` policy (``serial``,
 ``threaded``, ``process``, or ``async``, selected by
-``ServingConfig.engine`` or the ``engine`` constructor argument).  Under the *serial* engine,
-per-shard busy time still feeds the historical **simulated** makespan
-model (parallel wall time = the busiest worker's accumulated busy
-time).  Under the *threaded* engine a persistent one-worker-per-shard
-pool resolves the slices concurrently, so a replay's wall clock is
-**measured** parallel time; the shard-scaling benchmark
-(``repro-bench serve``) reports both side by side.
+``ServingConfig.engine`` or the ``engine`` constructor argument).  Every
+engine serves the same lists; they differ in measured wall clock and,
+for ``process``, in where shard state lives.
 
 Under the *process* engine the shards stop sharing memory entirely:
 each shard's serving state (a model replica, its cache, its limiter
@@ -72,11 +78,11 @@ replicated worker-side limiters see no traffic in this deployment.
 
 Thread-safety contract (what makes the threaded engine correct):
 
-* every piece of per-shard mutable state — the shard's cache, its quota
-  windows, its :class:`~repro.serving.service.ServiceStats` — is guarded
-  by that shard's lock and touched only while it is held (by the worker
+* every piece of per-shard mutable state — the shard's cache and its
+  :class:`~repro.serving.service.ServiceStats` — is guarded by that
+  shard's lock and touched only while it is held (by the worker
   resolving the shard's slice, by bus-driven invalidations, and by
-  episode restores);
+  episode restores); quota windows live in internally locked limiters;
 * the model is shared read-only on the query path; injections and
   restores, which mutate it, take the write side of a
   :class:`~repro.serving.engine.ReadWriteLock` that queries hold for
@@ -86,9 +92,8 @@ Thread-safety contract (what makes the threaded engine correct):
   matrix, NeuralCF's fused first-layer tensor.  The build is atomic to
   publish and identical from every thread, so concurrent workers can at
   worst duplicate the work, never corrupt it);
-* coordinator-level counters (:class:`ServiceStats`, the
-  :class:`~repro.serving.rate_limit.RateLimiter` admission windows) are
-  internally locked.
+* the coordinator's :class:`ServiceStats` is internally locked, and
+  ``flagged_injections`` is only touched under the model write lock.
 """
 
 from __future__ import annotations
@@ -106,8 +111,10 @@ import numpy as np
 
 from repro.errors import (
     ConfigurationError,
+    InjectionBlockedError,
     RateLimitExceededError,
     RolloutError,
+    SnapshotError,
     StaleReplicaError,
 )
 from repro.serving import replica as replica_proto
@@ -117,10 +124,11 @@ from repro.serving.engine import ExecutionEngine, ReadWriteLock, make_engine
 from repro.serving.rate_limit import UNLIMITED, RateLimiter
 from repro.serving.replica import CacheSnapshot, InjectionRecord, ReplicationEvent
 from repro.serving.rollout import ModelVersionRegistry, RolloutController, RolloutGuard
-from repro.serving.service import RecommendationService, ServiceStats, ServingConfig
+from repro.serving.service import ServiceStats, ServingConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recsys.base import Recommender
+    from repro.serving.profiling import StageTimers
 
 __all__ = [
     "ShardRouter",
@@ -390,7 +398,7 @@ class _WorkerShard:
         self.remote = False
         self.n_replica_entries = 0  # guarded-by: lock (replica cache size, remote mirrors only)
         self._snapshot_seq = -1  # guarded-by: lock (newest replica snapshot folded in)
-        self.cache = (
+        self.cache = (  # guarded-by: lock
             TopKCache(
                 capacity=config.cache_capacity,
                 ttl_injections=config.ttl_injections,
@@ -399,12 +407,14 @@ class _WorkerShard:
             if config.cache_capacity > 0
             else None
         )
+        # Internally locked: admission runs on the client thread before
+        # fan-out, outside the shard lock.
         self.limiter = RateLimiter(
             default_policy=config.default_policy,
             per_client=per_client_policies,
             **limiter_kwargs,
         )
-        self.stats = ServiceStats()
+        self.stats = ServiceStats()  # guarded-by: lock
 
     def note_injection(self) -> None:
         """Bus callback: advance this shard's staleness clock under lock."""
@@ -452,44 +462,39 @@ class _WorkerShard:
             # exactly the PR 8 restore-vs-fresh divergence class.
             self._snapshot_seq = -1
 
-    @property
-    def busy_s(self) -> float:
-        """Total scoring/cache time this worker spent (simulated makespan input)."""
-        return float(sum(self.stats.wall_times))
-
     def counters(self) -> dict[str, float]:
         """Monotonic counters; traffic replays diff these for per-run rows."""
-        out = {
-            "n_requests": float(self.stats.n_requests),
-            "n_users_served": float(self.stats.n_users_served),
-            "n_users_scored": float(self.stats.n_users_scored),
-            "busy_s": self.busy_s,
-        }
-        if self.cache is not None:
-            out["cache_hits"] = float(self.cache.stats.hits)
-            out["cache_misses"] = float(self.cache.stats.misses)
+        with self.lock:
+            out = {
+                "n_requests": float(self.stats.n_requests),
+                "n_users_served": float(self.stats.n_users_served),
+                "n_users_scored": float(self.stats.n_users_scored),
+            }
+            if self.cache is not None:
+                out["cache_hits"] = float(self.cache.stats.hits)
+                out["cache_misses"] = float(self.cache.stats.misses)
         return out
 
     def summary(self) -> dict[str, float]:
         out = {"shard": float(self.index), **self.counters()}
-        if self.cache is not None:
-            with self.lock:
+        with self.lock:
+            if self.cache is not None:
                 entries = self.n_replica_entries if self.remote else len(self.cache)
-            out["cache_entries"] = float(entries)
+                out["cache_entries"] = float(entries)
         return out
 
 
-class ShardedRecommendationService(RecommendationService):
-    """Coordinator + N worker shards with single-service semantics.
+class ShardedRecommendationService:
+    """Cache- and quota-fronted service over a fitted recommender.
 
     Parameters
     ----------
     model:
         The fitted recommender every shard scores against (one model
-        replica in this simulation; shards own *serving* state).
+        replica in-process; shards own *serving* state).
     n_shards:
-        Number of worker shards (1 is legal and useful as the scaling
-        baseline).
+        Number of worker shards.  The default of 1 is the plain
+        single-process deployment.
     config:
         The :class:`ServingConfig` posture, applied per shard: each shard
         gets its own cache of ``cache_capacity`` entries and its own
@@ -498,11 +503,16 @@ class ShardedRecommendationService(RecommendationService):
         owning shard, behaviour matches one global cache/limiter
         (eviction order under capacity pressure is the one documented
         divergence — per-shard LRU is local).
+    detector:
+        Fitted fake-profile detector, required when
+        ``config.detector_mode`` is not ``"off"``.
+    clock / limiter_clock:
+        Clocks for request wall times and for the limiters' windows.
     routing:
         ``"hash"`` (stable modulo hash) or ``"consistent"`` (ring with
         virtual nodes).
     engine:
-        ``"serial"``, ``"threaded"``, ``"process"``, or an
+        ``"serial"``, ``"threaded"``, ``"process"``, ``"async"``, or an
         :class:`~repro.serving.engine.ExecutionEngine` instance;
         ``None`` (default) takes the mode from ``config.engine``.  Every
         engine produces element-wise identical results — engines change
@@ -515,14 +525,14 @@ class ShardedRecommendationService(RecommendationService):
         engine awaits them on its event loop (so waits also overlap
         *across requests* via :meth:`query_async`), and the serial
         engine pays them in sequence.  ``0`` (default) disables
-        the model.  The latency is *excluded* from per-shard busy time,
-        so simulated makespan numbers stay pure compute.
+        the model.  The wait is paid before a slice takes its shard
+        lock, so per-shard ``stats.wall_times`` hold compute only.
     """
 
     def __init__(
         self,
         model: Recommender,
-        n_shards: int = 2,
+        n_shards: int = 1,
         config: ServingConfig | None = None,
         detector: object | None = None,
         clock: Callable[[], float] = time.perf_counter,
@@ -531,13 +541,24 @@ class ShardedRecommendationService(RecommendationService):
         engine: str | ExecutionEngine | None = None,
         shard_latency_s: float = 0.0,
     ) -> None:
-        super().__init__(
-            model, config=config, detector=detector, clock=clock, limiter_clock=limiter_clock
-        )
-        # Note: the coordinator's own cache is disabled via _make_cache
-        # (shards hold the caches); self.limiter stays as the policy
-        # registry (policy_for), but admission always routes to the
-        # client's home-shard limiter.
+        if not model.is_fitted:
+            raise ConfigurationError("ShardedRecommendationService requires a fitted model")
+        config = config if config is not None else ServingConfig()
+        if config.detector_mode != "off" and detector is None:
+            raise ConfigurationError(
+                f"detector_mode={config.detector_mode!r} requires a fitted detector"
+            )
+        self._model = model
+        self.config = config
+        self.detector = detector
+        self._clock = clock
+        self.stats = ServiceStats()  # internally locked
+        self.flagged_injections: list[tuple[int, float]] = []  # guarded-by: _model_lock
+        # Optional hot-path instrumentation: attach a
+        # repro.serving.profiling.StageTimers to split query wall clock
+        # into admission/routing/cache/scoring/merge stages.  None keeps
+        # the query path uninstrumented (one attribute check per stage).
+        self.profiler: "StageTimers | None" = None
         if isinstance(routing, ShardRouter):
             if routing.n_shards != n_shards:
                 raise ConfigurationError(
@@ -602,6 +623,8 @@ class ShardedRecommendationService(RecommendationService):
             self.last_rollout_rollback: dict | None = None
             limiter_kwargs = {} if limiter_clock is None else {"clock": limiter_clock}
             per_client = dict(self.config.client_policies)
+            # Evaluation-side ground-truth reads are exempt unless a config
+            # explicitly limits them (environment.measure relies on this).
             per_client.setdefault("evaluator", UNLIMITED)
             self.bus = InvalidationBus()
             n_items = model.dataset.n_items
@@ -620,8 +643,19 @@ class ShardedRecommendationService(RecommendationService):
                 self._shared_store.close()
             raise
 
-    def _make_cache(self):
-        return None  # per-shard caches only; see _WorkerShard
+    # -- public surface -------------------------------------------------------
+    @property
+    def model(self) -> Recommender:
+        """The backing model (platform-side access; attackers use the facade)."""
+        return self._model
+
+    @property
+    def n_items(self) -> int:
+        return self._model.dataset.n_items
+
+    @property
+    def n_users(self) -> int:
+        return self._model.dataset.n_users
 
     # -- lifecycle -------------------------------------------------------------
     @property
@@ -782,10 +816,13 @@ class ShardedRecommendationService(RecommendationService):
         one ``top_k_batch`` call — sequentially or concurrently depending
         on the configured engine — and merged results come back in
         request order.  Identical inputs produce element-wise identical
-        lists to the single service under every engine (``top_k_batch``
+        lists at every shard count and under every engine (``top_k_batch``
         is per-user independent, and per-shard state is confined to the
         worker resolving the shard — lock-guarded in-process, or a
-        replica in its own process).
+        replica in its own process).  ``use_cache=False`` bypasses the
+        result caches entirely (no lookup, no store) — the evaluation
+        side uses it for ground-truth reads that must not observe or
+        pollute staleness state.
         """
         if k <= 0:
             raise ConfigurationError("k must be positive")
@@ -1018,12 +1055,11 @@ class ShardedRecommendationService(RecommendationService):
         The modelled worker RPC latency is paid by the *engine* (see
         ``ExecutionEngine.run(tasks, latency_s=...)``) before this task
         body runs — slept per worker thread, awaited on the event loop,
-        or slept in sequence by the serial engine — and the busy clock
-        starts only after the shard lock is held: ``busy_s`` stays pure
-        compute — neither the modelled wait nor lock contention from
-        concurrent clients counts as shard work — so the simulated
-        makespan model is unchanged, while measured wall clock feels
-        both.
+        or slept in sequence by the serial engine — and the shard's clock
+        starts only after the shard lock is held: its ``stats.wall_times``
+        stay pure compute — neither the modelled wait nor lock contention
+        from concurrent clients counts as shard work — while the
+        request's measured wall clock feels both.
         """
         with shard.lock:
             t0 = self._clock()
@@ -1095,64 +1131,100 @@ class ShardedRecommendationService(RecommendationService):
             self.stats.record_shadow(len(shard_users), n_agree)
         return n_scored, shard_results
 
-    # -- injection pipeline hooks --------------------------------------------
+    # -- injection path -------------------------------------------------------
     def inject(self, profile: Sequence[int], client: str = "default") -> int:
-        """Register a profile; exclusive with in-flight queries.
+        """Register a new user profile, subject to throttles and screening.
 
-        The write lock drains concurrent readers before the model
-        mutates, so a shard worker never scores against a half-applied
-        injection; the bus then advances every shard's staleness clock
-        before the next query can start.
+        Exclusive with in-flight queries: the write lock drains
+        concurrent readers before the model mutates, so a shard worker
+        never scores against a half-applied injection; the bus then
+        advances every shard's staleness clock before the next query can
+        start.
         """
         with self._model_lock.write():
             self._check_no_rollout("inject")
-            return super().inject(profile, client=client)
+            user_id, flagged_score = self._add_profile(profile, client)
+            if flagged_score is not None:
+                self.flagged_injections.append((user_id, flagged_score))
+            self._replicate_injection(user_id)
+            return user_id
 
     def inject_batch(self, profiles: Sequence[Sequence[int]], client: str = "default") -> list[int]:
-        """Register a burst of profiles with one replication round trip.
+        """Register several profiles; each is admitted and screened in turn.
 
-        Under sliced replication the whole burst is admitted, screened,
-        and folded into the coordinator's model under a single write-lock
-        hold, then crosses the process boundary as **one**
-        ``inject_batch`` event per shard instead of one event per
-        profile.  A mid-batch denial (quota or detector block) still
-        replicates the successfully admitted prefix — the coordinator's
-        model already holds those users — before the error propagates.
+        On a mid-batch denial (quota or detector block) the profiles
+        admitted before the failure stay injected and the error
+        propagates — matching what the equivalent :meth:`inject` loop
+        would leave behind.
 
-        Full-replication deployments fall back to the per-profile loop
-        (each injection replicates its own pre-warm payload, which the
-        batched event cannot coalesce without changing lockstep
-        semantics).
+        Under sliced replication the whole burst is folded into the
+        coordinator's model under a single write-lock hold, then crosses
+        the process boundary as **one** ``inject_batch`` event per shard
+        instead of one event per profile (a denied burst still replicates
+        its admitted prefix before the error propagates).  Every other
+        deployment runs the per-profile loop: a full-replication
+        injection ships its own pre-warm payload, which the batched event
+        cannot coalesce without changing lockstep semantics.
         """
         if not self._sliced:
-            return super().inject_batch(profiles, client=client)
+            return [self.inject(profile, client) for profile in profiles]
         with self._model_lock.write():
             self._check_no_rollout("inject_batch")
             assigned: list[int] = []
             try:
                 for profile in profiles:
-                    try:
-                        self._admit_injection(client)
-                    except RateLimitExceededError:
-                        self.stats.record_rate_limited()
-                        raise
-                    flagged_score = self._screen_profile(profile)
-                    user_id = self._model.add_user(profile)
+                    user_id, flagged_score = self._add_profile(profile, client)
                     if flagged_score is not None:
                         self.flagged_injections.append((user_id, flagged_score))
-                    self.stats.n_injections += 1
-                    self._epoch += 1
-                    assigned.append(int(user_id))
+                    assigned.append(user_id)
             finally:
                 if assigned:
                     self._replicate_injections(assigned)
             return assigned
 
-    def _admit_injection(self, client: str) -> None:
-        self._limiter_for_client(client).admit_injection(client)
+    def _add_profile(self, profile: Sequence[int], client: str) -> tuple[int, float | None]:
+        """Admit, screen, and add one profile, advancing the epoch.
 
-    def _invalidate_after_injection(self, user_id: int) -> None:
-        """Advance the epoch, pre-warm once if needed, and replicate.
+        Caller holds the model write lock and replicates afterwards.
+        Returns the assigned user id and the detector score when the
+        profile was flagged (None otherwise); screening happens before
+        the id exists, so the caller records the flag against the id
+        ``add_user`` actually assigned.
+        """
+        try:
+            self._limiter_for_client(client).admit_injection(client)
+        except RateLimitExceededError:
+            self.stats.record_rate_limited()
+            raise
+        flagged_score = self._screen_profile(profile)
+        user_id = int(self._model.add_user(profile))
+        self.stats.n_injections += 1
+        self._epoch += 1
+        return user_id, flagged_score
+
+    def _screen_profile(self, profile: Sequence[int]) -> float | None:
+        """Optional online-detector screening at the injection boundary.
+
+        Returns the detector score when the profile is flagged, None
+        when screening is off or the profile passes; raises when the
+        detector blocks.
+        """
+        if self.config.detector_mode == "off":
+            return None
+        score = float(self.detector.score(tuple(int(v) for v in profile)))
+        if score > self.detector.threshold:
+            self.stats.n_flagged_injections += 1
+            if self.config.detector_mode == "block":
+                self.stats.n_blocked_injections += 1
+                raise InjectionBlockedError(
+                    f"profile rejected by online detector (score {score:.3f} "
+                    f"> threshold {self.detector.threshold:.3f})"
+                )
+            return score
+        return None
+
+    def _replicate_injection(self, user_id: int) -> None:
+        """Pre-warm once if needed, and replicate one injection.
 
         When the engine resolves slices concurrently, the coordinator
         rebuilds every lazy scoring cache the injection invalidated
@@ -1170,21 +1242,20 @@ class ShardedRecommendationService(RecommendationService):
         shared copy, no per-shard payload) and replicates a one-record
         batch event carrying only the profile and per-user state.
         """
-        self._epoch += 1
         if self._sliced:
-            self._replicate_injections([int(user_id)])
+            self._replicate_injections([user_id])
             return
         prewarm = None
         if self._engine.concurrent:
             state = self._model.prewarm()
             if self._remote:
                 prewarm = state
-        profile = tuple(int(v) for v in self._model.dataset.user_profile(int(user_id)))
+        profile = tuple(int(v) for v in self._model.dataset.user_profile(user_id))
         self._replicate(
             ReplicationEvent(
                 kind="inject",
                 epoch=self._epoch,
-                user_id=int(user_id),
+                user_id=user_id,
                 profile=profile,
                 prewarm=prewarm,
             )
@@ -1216,27 +1287,38 @@ class ShardedRecommendationService(RecommendationService):
         )
 
     # -- episode management ---------------------------------------------------
-    def snapshot(self):
-        """Capture model state atomically with respect to injections.
+    def snapshot(self) -> tuple[object, int]:
+        """Capture model state together with its user count.
 
-        The read side suffices: snapshots only read the model, so they
-        may overlap in-flight queries, but a concurrent ``inject`` (write
-        side) must fully land or not have started — otherwise the
-        captured user count and model state could tear apart and fail the
-        restore-time consistency check.
+        Atomic with respect to injections.  The read side suffices:
+        snapshots only read the model, so they may overlap in-flight
+        queries, but a concurrent ``inject`` (write side) must fully land
+        or not have started — otherwise the captured user count and model
+        state could tear apart and fail the restore-time consistency
+        check.
         """
         with self._model_lock.read():
-            return super().snapshot()
+            return self._model.snapshot(), self._model.dataset.n_users
 
-    def restore(self, snapshot) -> None:
-        """Roll back the model, then reset every shard to a clean episode.
+    def restore(self, snapshot: tuple[object, int]) -> None:
+        """Roll the platform back to a clean episode boundary.
 
-        Beyond the base-service reset (coordinator stats, flagged
-        injections), every per-shard cache is flushed *and* its counters
-        zeroed, per-shard limiter windows and denial counts clear, every
-        shard's request stats (the makespan/speedup inputs) zero, and the
-        invalidation bus forgets its delivered history — so no report can
-        double-count work from before the reset.
+        An episode reset is simulation control, so *every* externally
+        observable piece of serving state returns to the
+        freshly-constructed baseline, not just the model:
+
+        * every shard cache is flushed and its hit/miss/eviction counters
+          reset — a reset platform never serves (or reports) work from a
+          dropped episode;
+        * rate-limiter windows, quotas, and denial counters reset —
+          injections undone by the rollback must not keep consuming a
+          client's quota, and denials from dead episodes must not skew
+          per-episode budget accounting;
+        * coordinator and per-shard request stats reset — throughput
+          reports never double-count rolled-back traffic;
+        * ``flagged_injections`` is cleared — flagged records reference
+          user ids that no longer exist after the model rollback;
+        * the invalidation bus forgets its delivered history.
 
         Under the process engine the rollback must also cross the
         process boundary: the restore bumps the epoch and publishes a
@@ -1246,11 +1328,31 @@ class ShardedRecommendationService(RecommendationService):
         cleared *after* the resync broadcast — episode control leaves no
         trace, exactly like the in-memory reset.
         """
+        if not (
+            isinstance(snapshot, tuple) and len(snapshot) == 2 and isinstance(snapshot[1], int)
+        ):
+            raise SnapshotError(
+                "restore expects a snapshot from ShardedRecommendationService.snapshot"
+            )
+        model_snapshot, n_users = snapshot
         with self._model_lock.write():
             self._check_no_rollout("restore")
-            super().restore(snapshot)
+            if n_users > self._model.dataset.n_users:
+                raise SnapshotError(
+                    f"snapshot records {n_users} users but the platform only has "
+                    f"{self._model.dataset.n_users}; snapshots must be restored onto a "
+                    "later-or-equal state"
+                )
+            self._model.restore(model_snapshot)
+            if self._model.dataset.n_users != n_users:
+                raise SnapshotError(
+                    f"model restore produced {self._model.dataset.n_users} users, "
+                    f"snapshot recorded {n_users}"
+                )
             self.versions.reset()
             self.last_rollout_rollback = None
+            self.flagged_injections.clear()
+            self._epoch += 1
             self._reset_serving_state()
 
     def _reset_serving_state(self) -> None:
@@ -1260,13 +1362,14 @@ class ShardedRecommendationService(RecommendationService):
         and :meth:`promote_rollout` (the model just moved forward):
         either way the fleet must be indistinguishable from one freshly
         constructed around ``self._model`` — shard caches flushed and
-        counters zeroed, limiter windows clear, shard stats zero, the
-        epoch advanced, replicas resynced wholesale, and the bus history
-        forgotten.  Caller holds the model write lock.
+        counters zeroed, limiter windows clear, coordinator and shard
+        stats zero, replicas resynced wholesale, and the bus history
+        forgotten.  Caller holds the model write lock and has already
+        cleared ``flagged_injections`` and advanced the epoch.
         """
         for shard in self.shards:
             shard.reset()
-        self._epoch += 1
+        self.stats.reset()
         if self._sliced:
             self._resync_sliced()
         elif self._remote:
@@ -1450,12 +1553,8 @@ class ShardedRecommendationService(RecommendationService):
             self._model = rollout.staged_model
             version = self.versions.promote(self._model.dataset.n_users)
             self._rollout = None
-            # Base-service serving reset (the coordinator keeps no cache
-            # of its own in the sharded deployment), then the shared
-            # shard/replica reset machinery.
-            self.limiter.reset()
-            self.stats.reset()
             self.flagged_injections.clear()
+            self._epoch += 1
             self._reset_serving_state()
             return version
 
@@ -1524,18 +1623,6 @@ class ShardedRecommendationService(RecommendationService):
 
     def shard_summaries(self) -> list[dict[str, float]]:
         return [shard.summary() for shard in self.shards]
-
-    def makespan_s(self) -> float:
-        """Simulated parallel wall time: the busiest worker's total busy time."""
-        return max((shard.busy_s for shard in self.shards), default=0.0)
-
-    def total_busy_s(self) -> float:
-        return float(sum(shard.busy_s for shard in self.shards))
-
-    def simulated_speedup(self) -> float:
-        """Parallel speedup of the replay: total busy time / makespan."""
-        makespan = self.makespan_s()
-        return self.total_busy_s() / makespan if makespan > 0 else 1.0
 
     def load_balance(self) -> dict[str, float]:
         """How evenly routing spread the served users across workers."""

@@ -13,23 +13,24 @@ sign-ups that invalidate cache state), and reports the serving-side
 numbers a platform team would watch: throughput, latency percentiles
 (overall *and* per batch size — flat percentiles over mixed batch sizes
 hid the cohort-size dependence), cache hit rate, model-scoring fan-out,
-and — against a sharded deployment — per-shard load and the simulated
-multi-worker makespan.
+and per-shard load.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError, RateLimitExceededError
 from repro.serving.metrics import percentile_summary
-from repro.serving.service import RecommendationService
 from repro.serving.workload import Workload, make_workload, sample_arrivals
 from repro.utils.rng import make_rng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serving.sharded import ShardedRecommendationService
 
 __all__ = [
     "TrafficPattern",
@@ -170,9 +171,7 @@ class TrafficReport:
     cache_hit_rate: float | None = None
     mean_batch_size: float = 0.0
     arrivals: dict[str, float] | None = None  # workload schedule summary
-    shards: list[dict[str, float]] | None = None  # per-shard load (sharded runs)
-    makespan_s: float | None = None  # simulated parallel wall time
-    simulated_users_per_s: float | None = None
+    shards: list[dict[str, float]] | None = None  # per-shard load during this run
 
     def to_dict(self) -> dict:
         out = {
@@ -195,8 +194,6 @@ class TrafficReport:
             out["arrivals"] = self.arrivals
         if self.shards is not None:
             out["shards"] = self.shards
-            out["makespan_s"] = self.makespan_s
-            out["simulated_users_per_s"] = self.simulated_users_per_s
         return out
 
 
@@ -227,7 +224,9 @@ class TrafficSimulator:
         )
         return schedule.total, schedule
 
-    def run(self, service: RecommendationService, client: str = "organic") -> TrafficReport:
+    def run(
+        self, service: "ShardedRecommendationService", client: str = "organic"
+    ) -> TrafficReport:
         """Replay the pattern against ``service`` and collect a report."""
         pattern = self.pattern
         rng = make_rng(pattern.seed)
@@ -243,11 +242,7 @@ class TrafficSimulator:
         cache_before = service.cache_stats()
         hits_before = cache_before.hits if cache_before is not None else 0
         lookups_before = cache_before.lookups if cache_before is not None else 0
-        shards_before = (
-            [shard.counters() for shard in service.shards]
-            if hasattr(service, "shards")
-            else None
-        )
+        shards_before = [shard.counters() for shard in service.shards]
 
         # The whole request stream is sampled *before* the clock starts:
         # weighted no-replacement draws cost O(n_users) each, and folding
@@ -297,7 +292,7 @@ class TrafficSimulator:
         n_ok = len(wall_times)
         breakdown = latency_breakdown(wall_times, ok_batch_sizes)
         overall = {k: v for k, v in breakdown["overall"].items() if k != "n_requests"}
-        report = TrafficReport(
+        return TrafficReport(
             n_requests=n_requests,
             n_users_served=n_served,
             n_users_scored=service.stats.n_users_scored - n_scored_before,
@@ -311,22 +306,14 @@ class TrafficSimulator:
             cache_hit_rate=cache_hit_rate,
             mean_batch_size=n_served / n_ok if n_ok else 0.0,
             arrivals=schedule.summary() if schedule is not None else None,
-        )
-        if shards_before is not None:
-            # Simulated multi-worker view: shards are independent workers,
-            # so the replay's parallel wall time is the busiest shard's
-            # busy time accumulated during *this* run.  Every per-shard
-            # number below is a delta for this run, not a lifetime total.
-            per_run = [
+            # Every per-shard number is a delta for this run, not a
+            # lifetime total.
+            shards=[
                 {"shard": float(shard.index)}
                 | {key: after - before[key] for key, after in shard.counters().items()}
                 for shard, before in zip(service.shards, shards_before)
-            ]
-            makespan = max(entry["busy_s"] for entry in per_run)
-            report.shards = per_run
-            report.makespan_s = makespan
-            report.simulated_users_per_s = n_served / makespan if makespan > 0 else 0.0
-        return report
+            ],
+        )
 
 
 class BackgroundTraffic:
@@ -368,7 +355,7 @@ class BackgroundTraffic:
         self.n_requests_issued = 0
         self.n_rate_limited = 0
 
-    def tick(self, service: RecommendationService) -> int:
+    def tick(self, service: "ShardedRecommendationService") -> int:
         """Issue this tick's organic arrivals; returns the request count.
 
         The schedule wraps around, so an attack longer than the horizon

@@ -8,7 +8,7 @@ import pytest
 from repro.attack import AttackEnvironment, create_pretend_users
 from repro.errors import BudgetExhaustedError, ConfigurationError
 from repro.recsys import BlackBoxRecommender, PopularityRecommender
-from repro.serving import QuotaPolicy, RecommendationService, ServingConfig
+from repro.serving import QuotaPolicy, ServingConfig, ShardedRecommendationService
 
 
 @pytest.fixture
@@ -143,7 +143,7 @@ class TestReset:
 
 def _env_with_serving(tiny_dataset, serving_config, **env_kwargs):
     model = PopularityRecommender().fit(tiny_dataset.copy())
-    service = RecommendationService(model, config=serving_config)
+    service = ShardedRecommendationService(model, config=serving_config)
     bb = BlackBoxRecommender(model, service=service)
     pretend = create_pretend_users(bb, tiny_dataset.popularity(), n_users=4,
                                    profile_length=3, seed=5)

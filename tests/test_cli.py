@@ -117,8 +117,8 @@ class TestExecution:
         assert "latency_by_batch" in result["traffic_cached"]
         scaling = result["shard_scaling"]["per_shard_count"]
         assert set(scaling) == {"1", "2", "4"}
-        assert scaling["1"]["scale_vs_1"] == 1.0
-        assert all(entry["simulated_users_per_s"] > 0 for entry in scaling.values())
+        assert scaling["1"]["measured"]["serial_scale_vs_1"] == 1.0
+        assert all(entry["measured"]["serial_users_per_s"] > 0 for entry in scaling.values())
 
 
 class TestProfileSubcommand:

@@ -5,8 +5,8 @@ preserve (it replaces the ad-hoc per-engine parity tests that grew one
 engine at a time).  For every recommender family, every shard count in
 {1, 2, 4, 7}, and every engine in ``ENGINES`` — the serial loop, the
 thread pool, and the process pool with replicated shard state — a seeded
-interleaving of queries and injections must produce, versus the single
-``RecommendationService``:
+interleaving of queries and injections must produce, versus the
+single-cache reference (``tests/reference_service.py``):
 
 * **element-wise identical top-k lists** (same items, same order);
 * **identical merged ``ServiceStats`` counters** (requests, users
@@ -39,12 +39,12 @@ from repro.recsys import (
 )
 from repro.serving import (
     ENGINES,
-    RecommendationService,
     RolloutGuard,
     ServingConfig,
     ShardedRecommendationService,
 )
 from repro.utils.rng import make_rng
+from reference_service import ReferenceService
 
 N_USERS = 40
 N_ITEMS = 50
@@ -127,7 +127,7 @@ def _cache_counters(service) -> tuple[int, int, int] | None:
 
 @pytest.fixture(scope="module")
 def single_reference(fitted_models):
-    """Memoised single-service expectations per (model, ttl) pair.
+    """Memoised single-cache reference expectations per (model, ttl) pair.
 
     Returns ``(ops, base_snapshot, outputs, stats, cache)``; the model is
     restored to ``base_snapshot`` before the getter returns, so the
@@ -140,7 +140,7 @@ def single_reference(fitted_models):
         if key not in memo:
             config = ServingConfig(cache_capacity=256, ttl_injections=ttl_injections)
             ops = _script(seed=100 + ttl_injections)
-            single = RecommendationService(fitted_models[model_name], config=config)
+            single = ReferenceService(fitted_models[model_name], config=config)
             base = single.snapshot()
             outputs = _replay(single, ops)
             expectation = (ops, base, outputs, _stats_counters(single), _cache_counters(single))
@@ -190,7 +190,7 @@ def test_uncached_conformance(fitted_models, engine):
     whichever engine schedules it."""
     model = fitted_models["itemknn"]
     ops = _script(seed=13)
-    single = RecommendationService(model)
+    single = ReferenceService(model)
     base = single.snapshot()
     expected = _replay(single, ops)
     expected_stats = _stats_counters(single)
@@ -324,7 +324,7 @@ class TestRolloutConformance:
                 # single service on the retrained model: lists, stats,
                 # and cache counters, for a full query/inject script.
                 ops = _script(seed=37)
-                single = RecommendationService(
+                single = ReferenceService(
                     reference_model,
                     config=ServingConfig(cache_capacity=256),
                 )

@@ -138,7 +138,7 @@ class TestRunMethod:
 
 class TestStaleScenarioEndToEnd:
     """SMALL_STALE runs unmodified attack methods through the cached,
-    throttled RecommendationService."""
+    throttled one-shard service."""
 
     @pytest.fixture(scope="class")
     def stale_prep(self):
@@ -152,9 +152,9 @@ class TestStaleScenarioEndToEnd:
 
     def test_platform_has_serving_posture(self, stale_prep):
         service = stale_prep.blackbox.service
-        assert service.cache is not None
-        assert service.cache.ttl_injections == SMALL_STALE.serving.ttl_injections
-        assert not service.limiter.policy_for("attacker").unlimited
+        assert service.shards[0].cache is not None
+        assert service.shards[0].cache.ttl_injections == SMALL_STALE.serving.ttl_injections
+        assert not service.shards[0].limiter.policy_for("attacker").unlimited
 
     def test_attack_method_runs_under_stale_cache(self, stale_prep):
         outcome = run_method(stale_prep, "RandomAttack", budget=6)
@@ -166,12 +166,12 @@ class TestStaleScenarioEndToEnd:
         # ... but the platform itself is reset clean: run_method restores
         # the episode snapshot, and restore leaves no serving counters
         # behind (the episode-reset invariant in test_serving_reset).
-        assert service.cache.stats.lookups == 0
+        assert service.cache_stats().lookups == 0
         assert service.stats.n_injections == 0
         # The cached posture is still live after the reset.
         service.query([0], k=5, client="evaluator")
         service.query([0], k=5, client="evaluator")
-        assert service.cache.stats.hits > 0
+        assert service.cache_stats().hits > 0
 
 
 class TestShardedScenarioEndToEnd:
@@ -192,7 +192,6 @@ class TestShardedScenarioEndToEnd:
         service = sharded_prep.blackbox.service
         assert isinstance(service, ShardedRecommendationService)
         assert service.n_shards == 4
-        assert service.cache is None  # shards own the caches
         assert all(shard.cache is not None for shard in service.shards)
 
     def test_attack_method_runs_with_background_contention(self, sharded_prep):
@@ -204,7 +203,7 @@ class TestShardedScenarioEndToEnd:
         assert sharded_prep.blackbox.log.n_queries > 0
         # ... but run_method's final reset left the deployment clean: no
         # shard counter, bus event, or cache stat from the run survives
-        # (makespan/fan-out reports never double-count dead episodes).
+        # (throughput/fan-out reports never double-count dead episodes).
         assert service.stats.n_injections == 0
         assert service.bus.events == [] and service.bus.n_deliveries == 0
         assert service.cache_stats().lookups == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.data import InteractionDataset
 from repro.errors import ConfigurationError
 from repro.recsys import ItemKNN, PopularityRecommender
-from repro.serving import RecommendationService, ServingConfig, TopKCache
+from repro.serving import ServingConfig, ShardedRecommendationService, TopKCache
 
 
 def _tiny():
@@ -123,7 +123,7 @@ class TestStrictCacheIsInvisible:
     def test_interleaved_query_inject_restore(self, ops):
         """Strict-mode cached results == uncached top_k, element-wise, always."""
         model = ItemKNN().fit(_tiny())
-        service = RecommendationService(
+        service = ShardedRecommendationService(
             model, config=ServingConfig(cache_capacity=16, ttl_injections=0)
         )
         base = service.snapshot()
@@ -141,12 +141,12 @@ class TestStrictCacheIsInvisible:
     def test_cache_hits_occur(self):
         """The invisibility above is not vacuous: repeats do hit the cache."""
         model = PopularityRecommender().fit(_tiny())
-        service = RecommendationService(model, config=ServingConfig(cache_capacity=16))
+        service = ShardedRecommendationService(model, config=ServingConfig(cache_capacity=16))
         for _ in range(2):
             for user in range(4):
                 service.query([user], 3)
-        assert service.cache.stats.hits == 4
-        assert service.cache.stats.misses == 4
+        assert service.cache_stats().hits == 4
+        assert service.cache_stats().misses == 4
 
 
 class TestTTLStalenessBound:
@@ -159,7 +159,7 @@ class TestTTLStalenessBound:
         """
         ttl = 3
         model = PopularityRecommender().fit(_tiny())
-        service = RecommendationService(
+        service = ShardedRecommendationService(
             model, config=ServingConfig(cache_capacity=16, ttl_injections=ttl)
         )
         user, k = 0, 4
@@ -186,7 +186,7 @@ class TestTTLStalenessBound:
         """With a popularity model, injections change the truth while the
         TTL cache keeps serving the pre-injection list inside the horizon."""
         model = PopularityRecommender().fit(_tiny())
-        service = RecommendationService(
+        service = ShardedRecommendationService(
             model, config=ServingConfig(cache_capacity=16, ttl_injections=5)
         )
         before = service.query([2], 3)[0]
@@ -199,14 +199,14 @@ class TestTTLStalenessBound:
 
     def test_restore_flushes_ttl_entries(self):
         model = PopularityRecommender().fit(_tiny())
-        service = RecommendationService(
+        service = ShardedRecommendationService(
             model, config=ServingConfig(cache_capacity=16, ttl_injections=10)
         )
         base = service.snapshot()
         service.query([0], 4)
         service.inject([7, 8, 9])
         service.restore(base)
-        assert len(service.cache) == 0
+        assert len(service.shards[0].cache) == 0
         np.testing.assert_array_equal(service.query([0], 4)[0], model.top_k(0, 4))
 
 

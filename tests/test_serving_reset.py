@@ -32,7 +32,6 @@ from repro.errors import RateLimitExceededError
 from repro.recsys import PopularityRecommender
 from repro.serving import (
     QuotaPolicy,
-    RecommendationService,
     ServingConfig,
     ShardedRecommendationService,
 )
@@ -74,8 +73,8 @@ _CONFIG = ServingConfig(
 
 
 def _build(model, deployment: str):
-    if deployment == "single":
-        return RecommendationService(model, config=_CONFIG, detector=_StubDetector())
+    if deployment == "single":  # the default deployment: one shard, serial engine
+        return ShardedRecommendationService(model, config=_CONFIG, detector=_StubDetector())
     return ShardedRecommendationService(
         model,
         n_shards=3,
@@ -88,7 +87,7 @@ def _build(model, deployment: str):
 def _observable_state(service) -> dict:
     """Every serving counter an experiment report can read."""
     stats = service.stats
-    state = {
+    return {
         "stats": (
             stats.n_requests,
             stats.n_users_served,
@@ -102,29 +101,20 @@ def _observable_state(service) -> dict:
         "cache": service.cache_stats(),
         "flagged": list(service.flagged_injections),
         "n_users": service.n_users,
-        "coordinator_denials": (
-            service.limiter.n_denied_queries,
-            service.limiter.n_denied_injections,
-        ),
-    }
-    if service.cache is not None:
+        "shards": service.shard_summaries(),
         # The staleness clock itself is observable (TTL-mode reports read
         # it); a restore must rewind it with the entries it stamps.
-        state["cache_version"] = service.cache.version
-    if isinstance(service, ShardedRecommendationService):
-        state["shards"] = service.shard_summaries()
-        state["shard_cache_versions"] = [
+        "shard_cache_versions": [
             None if shard.cache is None else shard.cache.version
             for shard in service.shards
-        ]
-        state["shard_denials"] = [
+        ],
+        "shard_denials": [
             (shard.limiter.n_denied_queries, shard.limiter.n_denied_injections)
             for shard in service.shards
-        ]
-        state["bus"] = (list(service.bus.events), service.bus.n_deliveries)
-        state["makespan_s"] = service.makespan_s()
-        state["total_busy_s"] = service.total_busy_s()
-    return state
+        ],
+        "bus": (list(service.bus.events), service.bus.n_deliveries),
+        "shard_wall_times": [list(shard.stats.wall_times) for shard in service.shards],
+    }
 
 
 def _run_episode(service, ops) -> None:
@@ -197,19 +187,18 @@ def test_flagged_injections_cleared_on_restore(deployment):
 
 
 def test_shard_and_bus_accounting_reset_on_restore():
-    """Makespan, speedup, and fan-out inputs must not double-count dead
-    episodes: per-shard wall-times/counters and bus history all zero."""
+    """Per-shard wall times, counters, and fan-out history must not
+    double-count dead episodes: they all return to zero."""
     service = ShardedRecommendationService(
         _model(), n_shards=3, config=ServingConfig(cache_capacity=32)
     )
     base = service.snapshot()
     service.query(list(range(N_USERS)), k=5)
     service.inject([0, 1, 2])
-    assert service.total_busy_s() > 0.0
+    assert sum(sum(shard.stats.wall_times) for shard in service.shards) > 0.0
     assert service.bus.events and service.bus.n_deliveries == 3
     service.restore(base)
-    assert service.makespan_s() == 0.0
-    assert service.total_busy_s() == 0.0
+    assert all(shard.stats.wall_times == [] for shard in service.shards)
     assert service.bus.events == [] and service.bus.n_deliveries == 0
     for shard in service.shards:
         assert shard.stats.n_requests == 0

@@ -1,4 +1,4 @@
-"""RecommendationService: batching, quotas, detector hook, snapshots, stats."""
+"""The one-shard service: batching, quotas, detector hook, snapshots, stats."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from repro.recsys import BlackBoxRecommender, PopularityRecommender
 from repro.serving import (
     QuotaPolicy,
     RateLimiter,
-    RecommendationService,
     ServingConfig,
+    ShardedRecommendationService,
 )
 
 
@@ -29,13 +29,13 @@ def _tiny():
 
 def _service(config=None, **kwargs):
     model = PopularityRecommender().fit(_tiny())
-    return RecommendationService(model, config=config, **kwargs), model
+    return ShardedRecommendationService(model, config=config, **kwargs), model
 
 
 class TestQueryPath:
     def test_requires_fitted_model(self):
         with pytest.raises(ConfigurationError):
-            RecommendationService(PopularityRecommender())
+            ShardedRecommendationService(PopularityRecommender())
 
     def test_matches_model_top_k(self):
         service, model = _service()
@@ -60,7 +60,7 @@ class TestQueryPath:
     def test_use_cache_false_bypasses_and_does_not_store(self):
         service, _ = _service(ServingConfig(cache_capacity=8))
         service.query([0], k=3, use_cache=False)
-        assert len(service.cache) == 0
+        assert len(service.shards[0].cache) == 0
         assert service.stats.n_users_scored == 1
 
     def test_stats_record_wall_time_and_batch_size(self):
@@ -204,7 +204,7 @@ class TestDetectorHook:
     def _detector_service(self, mode):
         model = PopularityRecommender().fit(_tiny())
         detector = ShillingDetector(target_false_positive_rate=0.2).fit(model.dataset)
-        service = RecommendationService(
+        service = ShardedRecommendationService(
             model, config=ServingConfig(detector_mode=mode), detector=detector
         )
         return service, detector
@@ -212,7 +212,7 @@ class TestDetectorHook:
     def test_detector_required_when_mode_on(self):
         model = PopularityRecommender().fit(_tiny())
         with pytest.raises(ConfigurationError):
-            RecommendationService(model, config=ServingConfig(detector_mode="block"))
+            ShardedRecommendationService(model, config=ServingConfig(detector_mode="block"))
 
     def test_block_mode_rejects_outliers(self):
         service, detector = self._detector_service("block")
@@ -335,13 +335,13 @@ class TestBlackBoxFacade:
     def test_facade_builds_transparent_service(self):
         model = PopularityRecommender().fit(_tiny())
         bb = BlackBoxRecommender(model)
-        assert bb.service.cache is None
-        assert bb.service.limiter.default_policy.unlimited
+        assert bb.service.cache_stats() is None
+        assert bb.service.shards[0].limiter.default_policy.unlimited
 
     def test_facade_rejects_mismatched_service(self):
         model_a = PopularityRecommender().fit(_tiny())
         model_b = PopularityRecommender().fit(_tiny())
-        service = RecommendationService(model_a)
+        service = ShardedRecommendationService(model_a)
         with pytest.raises(ConfigurationError):
             BlackBoxRecommender(model_b, service=service)
 
@@ -382,7 +382,7 @@ class TestBlackBoxFacade:
 
     def test_attacker_rate_limit_applies_through_facade(self):
         model = PopularityRecommender().fit(_tiny())
-        service = RecommendationService(
+        service = ShardedRecommendationService(
             model,
             config=ServingConfig(
                 client_policies=(("attacker", QuotaPolicy(max_users_per_query=2)),)

@@ -6,7 +6,8 @@ injection, and in TTL mode no served entry's staleness may exceed
 ``ttl_injections`` — regardless of which shard held the entry.  A seeded
 end-to-end attack run pins the contract at the behaviour level: the
 reward stream an attacker observes through a sharded platform is
-*exactly* the single-service stream.
+*exactly* the stream through the single-cache reference
+(``tests/reference_service.py``).
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ import pytest
 from repro.attack.environment import AttackEnvironment
 from repro.data import InteractionDataset
 from repro.recsys import BlackBoxRecommender, PopularityRecommender
-from repro.serving import (
-    RecommendationService,
-    ServingConfig,
-    ShardedRecommendationService,
-)
+from repro.serving import ServingConfig, ShardedRecommendationService
 from repro.utils.rng import make_rng
+from reference_service import ReferenceService
 
 N_USERS = 36
 N_ITEMS = 30
@@ -154,7 +152,7 @@ class TestEndToEndAttackParity:
         profiles = self._attack_profiles(target_item)
         config = ServingConfig(cache_capacity=128, ttl_injections=2)
 
-        single = RecommendationService(model, config=config)
+        single = ReferenceService(model, config=config)
         rewards_single, final_single, measured_single = self._run_env(
             single, model, target_item, profiles
         )

@@ -18,12 +18,9 @@ import pytest
 
 from repro.data import InteractionDataset
 from repro.recsys import MatrixFactorization, PopularityRecommender
-from repro.serving import (
-    RecommendationService,
-    ServingConfig,
-    ShardedRecommendationService,
-)
+from repro.serving import ServingConfig, ShardedRecommendationService
 from repro.utils.rng import make_rng
+from reference_service import ReferenceService
 
 N_USERS = 40
 N_ITEMS = 50
@@ -49,7 +46,7 @@ def fitted_models():
 
 def _script(seed: int, n_ops: int = 24) -> list[tuple]:
     """Seeded interleaving of queries (dups allowed, injected users too)
-    and injections; identical for both deployments by construction."""
+    and injections; identical for every deployment by construction."""
     rng = make_rng(seed)
     ops: list[tuple] = []
     n_users = N_USERS
@@ -80,7 +77,7 @@ def test_consistent_hash_routing_parity(fitted_models):
     model = fitted_models["mf"]
     config = ServingConfig(cache_capacity=256)
     ops = _script(seed=7)
-    single = RecommendationService(model, config=config)
+    single = ReferenceService(model, config=config)
     base = single.snapshot()
     expected = _replay(single, ops)
     single.restore(base)
