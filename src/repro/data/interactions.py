@@ -280,13 +280,19 @@ class InteractionDataset:
                 self._item_users[v].append(user_id)
 
     # -- matrix view ---------------------------------------------------------------------
+    def interaction_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every interaction as parallel ``(user_ids, item_ids)`` arrays.
+
+        Users ascend, and each user's items keep profile order.
+        """
+        users = np.repeat(np.arange(self.n_users, dtype=np.int64), self.profile_lengths())
+        items = np.concatenate([np.zeros(0, dtype=np.int64), *self._profile_arrays])
+        return users, items
+
     def to_csr(self) -> sparse.csr_matrix:
         """Binary interaction matrix ``Y`` as ``csr_matrix`` (users x items)."""
-        rows, cols = [], []
-        for user_id, profile in enumerate(self._profiles):
-            rows.extend([user_id] * len(profile))
-            cols.extend(profile)
-        data = np.ones(len(rows), dtype=np.float64)
+        rows, cols = self.interaction_arrays()
+        data = np.ones(rows.size, dtype=np.float64)
         return sparse.csr_matrix(
             (data, (rows, cols)), shape=(self.n_users, self._n_items)
         )

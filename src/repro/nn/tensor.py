@@ -26,7 +26,15 @@ import numpy as np
 
 from repro.errors import GradientError, ShapeError
 
-__all__ = ["Tensor", "as_tensor", "concat", "stack", "no_grad", "is_grad_enabled"]
+__all__ = [
+    "Tensor",
+    "as_tensor",
+    "concat",
+    "stack",
+    "no_grad",
+    "is_grad_enabled",
+    "scatter_add_rows",
+]
 
 _GRAD_ENABLED = True
 
@@ -69,6 +77,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def scatter_add_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """``out[index[k]] += rows[k]`` for every ``k``, into ``n`` zero rows.
+
+    One flat ``np.bincount`` over (row, column) keys.  Each output entry
+    is summed in ``k`` order starting from ``0.0``, exactly as
+    ``np.add.at(np.zeros(...), index, rows)`` does, so the two are bitwise
+    equal, without ``add.at``'s per-element dispatch.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    f = int(np.prod(rows.shape[1:], dtype=np.int64))
+    keys = (index.reshape(-1, 1) * f + np.arange(f)).reshape(-1)
+    out = np.bincount(keys, weights=rows.reshape(-1), minlength=n * f)
+    return out.reshape((n,) + rows.shape[1:])
 
 
 class Tensor:
@@ -356,9 +379,10 @@ class Tensor:
         out_data = self.data[idx]
 
         def backward(g: np.ndarray) -> None:
-            grad = np.zeros_like(self.data)
-            np.add.at(grad, idx, np.asarray(g))
-            self._accumulate(grad)
+            n = self.data.shape[0]
+            rows = np.asarray(g).reshape((idx.size,) + self.data.shape[1:])
+            # ``% n`` wraps negative indices the way the forward gather does.
+            self._accumulate(scatter_add_rows(idx % n, rows, n))
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -24,6 +24,7 @@ import numpy as np
 from repro.data.interactions import InteractionDataset
 from repro.errors import ConfigurationError, NotFittedError
 from repro.recsys.base import Recommender
+from repro.recsys.sampling import BipartiteIndex
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng
 
@@ -83,13 +84,8 @@ class MatrixFactorization(Recommender):
         self.user_factors = rng.normal(0.0, 0.1, size=(n_users, self.n_factors))
         self.item_factors = rng.normal(0.0, 0.1, size=(n_items, self.n_factors))
 
-        users_flat: list[int] = []
-        items_flat: list[int] = []
-        for user_id, profile in dataset.iter_profiles():
-            users_flat.extend([user_id] * len(profile))
-            items_flat.extend(profile)
-        users_arr = np.asarray(users_flat, dtype=np.int64)
-        items_arr = np.asarray(items_flat, dtype=np.int64)
+        index = BipartiteIndex(dataset)
+        users_arr, items_arr = index.entry_users, index.user_items
         n_obs = users_arr.size
         if n_obs == 0:
             raise ConfigurationError("cannot fit MF on an empty dataset")
@@ -98,7 +94,7 @@ class MatrixFactorization(Recommender):
             order = rng.permutation(n_obs)
             for start in range(0, n_obs, self.batch_size):
                 batch = order[start : start + self.batch_size]
-                self._bpr_step(users_arr[batch], items_arr[batch], dataset, rng)
+                self._bpr_step(users_arr[batch], items_arr[batch], index, rng)
             if epoch % 10 == 9:
                 _LOG.debug("MF epoch %d/%d done", epoch + 1, self.n_epochs)
         return self
@@ -107,20 +103,16 @@ class MatrixFactorization(Recommender):
         self,
         users: np.ndarray,
         pos_items: np.ndarray,
-        dataset: InteractionDataset,
+        index: BipartiteIndex,
         rng: np.random.Generator,
     ) -> None:
-        neg_items = rng.integers(0, dataset.n_items, size=users.size)
+        neg_items = rng.integers(0, index.n_items, size=users.size)
         # Resample collisions with the user's seen set (a few passes suffice).
         for _ in range(3):
-            clash = np.fromiter(
-                (dataset.has(int(u), int(v)) for u, v in zip(users, neg_items)),
-                dtype=bool,
-                count=users.size,
-            )
+            clash = index.contains(users, neg_items)
             if not clash.any():
                 break
-            neg_items[clash] = rng.integers(0, dataset.n_items, size=int(clash.sum()))
+            neg_items[clash] = rng.integers(0, index.n_items, size=int(clash.sum()))
 
         pu = self.user_factors[users]
         qi = self.item_factors[pos_items]

@@ -30,6 +30,7 @@ from repro.errors import ConfigurationError, NotFittedError
 from repro.nn import Embedding, Linear, Module, Tensor, bpr_loss, concat
 from repro.nn.optim import Adam
 from repro.recsys.base import Recommender
+from repro.recsys.sampling import BipartiteIndex
 from repro.utils.rng import make_rng
 
 __all__ = ["NeuralCF"]
@@ -104,14 +105,9 @@ class NeuralCF(Recommender):
         return self
 
     def _train_epochs(self, n_epochs: int) -> None:
-        dataset = self.dataset
-        users_flat: list[int] = []
-        items_flat: list[int] = []
-        for user_id, profile in dataset.iter_profiles():
-            users_flat.extend([user_id] * len(profile))
-            items_flat.extend(profile)
-        users_arr = np.asarray(users_flat, dtype=np.int64)
-        items_arr = np.asarray(items_flat, dtype=np.int64)
+        # Rebuilt per call: partial_fit and add_user grow the dataset.
+        index = BipartiteIndex(self.dataset)
+        users_arr, items_arr = index.entry_users, index.user_items
         if users_arr.size == 0:
             raise ConfigurationError("cannot fit NeuralCF on an empty dataset")
         rng = self._rng
@@ -119,30 +115,25 @@ class NeuralCF(Recommender):
             order = rng.permutation(users_arr.size)
             for start in range(0, users_arr.size, self.batch_size):
                 batch = order[start : start + self.batch_size]
-                self._train_step(users_arr[batch], items_arr[batch], rng)
+                self._train_step(index, users_arr[batch], items_arr[batch], rng)
 
-    def _pool_batch(self, user_ids: np.ndarray, rng: np.random.Generator) -> Tensor:
-        t = self.n_profile_samples
-        idx = np.empty((user_ids.size, t), dtype=np.int64)
-        for row, user_id in enumerate(user_ids):
-            profile = self.dataset.user_profile(int(user_id))
-            picks = rng.integers(0, len(profile), size=t)
-            idx[row] = [profile[i] for i in picks]
-        q = self._net.item_emb(idx.reshape(-1)).reshape(user_ids.size, t, self.n_factors)
+    def _pool_batch(
+        self, index: BipartiteIndex, user_ids: np.ndarray, rng: np.random.Generator
+    ) -> Tensor:
+        idx = index.sample_profiles(user_ids, self.n_profile_samples, rng)
+        q = self._net.item_emb(idx.reshape(-1)).reshape(user_ids.size, idx.shape[1], self.n_factors)
         return q.mean(axis=1)
 
-    def _train_step(self, users: np.ndarray, pos_items: np.ndarray, rng) -> None:
+    def _train_step(
+        self, index: BipartiteIndex, users: np.ndarray, pos_items: np.ndarray, rng
+    ) -> None:
         neg_items = rng.integers(0, self.dataset.n_items, size=users.size)
         for _ in range(3):
-            clash = np.fromiter(
-                (self.dataset.has(int(u), int(v)) for u, v in zip(users, neg_items)),
-                dtype=bool,
-                count=users.size,
-            )
+            clash = index.contains(users, neg_items)
             if not clash.any():
                 break
             neg_items[clash] = rng.integers(0, self.dataset.n_items, size=int(clash.sum()))
-        pooled = self._pool_batch(users, rng)
+        pooled = self._pool_batch(index, users, rng)
         pos = self._net.score(pooled, self._net.item_emb(pos_items))
         neg = self._net.score(pooled, self._net.item_emb(neg_items))
         loss = bpr_loss(pos, neg)

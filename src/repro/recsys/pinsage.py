@@ -56,7 +56,9 @@ from repro.data.interactions import InteractionDataset
 from repro.errors import ConfigurationError, NotFittedError
 from repro.nn import Embedding, Linear, Module, Tensor, bpr_loss, concat, no_grad
 from repro.nn.optim import Adam
+from repro.nn.tensor import scatter_add_rows
 from repro.recsys.base import Recommender
+from repro.recsys.sampling import BipartiteIndex
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng
 
@@ -186,13 +188,9 @@ class PinSageRecommender(Recommender):
         self._net = _PinSageNet(dataset.n_items, self.n_factors, rng)
         self._optimizer = Adam(self._net.parameters(), lr=self.lr)
 
-        users_flat: list[int] = []
-        items_flat: list[int] = []
-        for user_id, profile in dataset.iter_profiles():
-            users_flat.extend([user_id] * len(profile))
-            items_flat.extend(profile)
-        users_arr = np.asarray(users_flat, dtype=np.int64)
-        items_arr = np.asarray(items_flat, dtype=np.int64)
+        # Sampling view of the training graph, built once per fit.
+        index = BipartiteIndex(dataset)
+        users_arr, items_arr = index.entry_users, index.user_items
         if users_arr.size == 0:
             raise ConfigurationError("cannot fit PinSage on an empty dataset")
 
@@ -206,7 +204,7 @@ class PinSageRecommender(Recommender):
             n_batches = 0
             for start in range(0, users_arr.size, self.batch_size):
                 batch = order[start : start + self.batch_size]
-                loss = self._train_step(users_arr[batch], items_arr[batch], rng)
+                loss = self._train_step(index, users_arr[batch], items_arr[batch], rng)
                 epoch_loss += loss
                 n_batches += 1
             record = {"epoch": float(epoch), "loss": epoch_loss / max(n_batches, 1)}
@@ -230,41 +228,25 @@ class PinSageRecommender(Recommender):
         self.refresh_full()
         return self
 
-    def _sample_profile_matrix(self, user_ids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """(len(user_ids), n_profile_samples) item ids sampled with replacement."""
-        t = self.n_profile_samples
-        out = np.empty((user_ids.size, t), dtype=np.int64)
-        for row, user_id in enumerate(user_ids):
-            profile = self.dataset.user_profile(int(user_id))
-            picks = rng.integers(0, len(profile), size=t)
-            out[row] = [profile[i] for i in picks]
-        return out
-
-    def _user_repr_batch(self, user_ids: np.ndarray, rng: np.random.Generator) -> Tensor:
-        idx = self._sample_profile_matrix(user_ids, rng)
+    def _user_repr_batch(
+        self, index: BipartiteIndex, user_ids: np.ndarray, rng: np.random.Generator
+    ) -> Tensor:
+        idx = index.sample_profiles(user_ids, self.n_profile_samples, rng)
         q = self._net.item_emb(idx.reshape(-1)).reshape(idx.shape[0], idx.shape[1], self.n_factors)
         pooled = q.mean(axis=1)
         return _l2norm_t(pooled + self._net.w_user2(self._net.w_user1(pooled).relu()))
 
-    def _item_repr_batch(self, item_ids: np.ndarray, rng: np.random.Generator) -> Tensor:
+    def _item_repr_batch(
+        self, index: BipartiteIndex, item_ids: np.ndarray, rng: np.random.Generator
+    ) -> Tensor:
         s = self.n_neighbor_samples
         n = item_ids.size
-        neighbor_users = np.zeros((n, s), dtype=np.int64)
-        inv_sqrt_du = np.zeros((n, s, 1))
-        agg_scale = np.zeros((n, 1))
-        has_users = np.zeros((n, 1))
-        for row, item_id in enumerate(item_ids):
-            users = self.dataset.item_users(int(item_id))
-            if users:
-                picks = rng.integers(0, len(users), size=s)
-                chosen = [users[i] for i in picks]
-                neighbor_users[row] = chosen
-                for col, u in enumerate(chosen):
-                    inv_sqrt_du[row, col, 0] = 1.0 / np.sqrt(len(self.dataset.user_profile(u)))
-                count = len(users)
-                agg_scale[row, 0] = count / np.sqrt(1.0 + count)
-                has_users[row, 0] = 1.0
-        h_nb = self._user_repr_batch(neighbor_users.reshape(-1), rng)
+        neighbor_users = index.sample_item_users(item_ids, s, rng)
+        count = index.item_degree[item_ids].astype(np.float64)[:, None]
+        has_users = (count > 0).astype(np.float64)
+        inv_sqrt_du = (has_users / np.sqrt(index.user_degree[neighbor_users]))[:, :, None]
+        agg_scale = count / np.sqrt(1.0 + count)
+        h_nb = self._user_repr_batch(index, neighbor_users.reshape(-1), rng)
         h_nb = h_nb.reshape(n, s, self.n_factors)
         # Monte-Carlo estimates: E[h/sqrt(deg_u)] * count/sqrt(1+count) and plain mean.
         agg = (h_nb * Tensor(inv_sqrt_du)).mean(axis=1) * Tensor(agg_scale)
@@ -273,21 +255,23 @@ class PinSageRecommender(Recommender):
         mlp = self._net.w_item2(self._net.w_item1(concat([q_own, h_mean], axis=-1)).relu())
         return q_own + agg + mlp
 
-    def _train_step(self, users: np.ndarray, pos_items: np.ndarray, rng: np.random.Generator) -> float:
+    def _train_step(
+        self,
+        index: BipartiteIndex,
+        users: np.ndarray,
+        pos_items: np.ndarray,
+        rng: np.random.Generator,
+    ) -> float:
         neg_items = rng.integers(0, self.dataset.n_items, size=users.size)
         for _ in range(3):
-            clash = np.fromiter(
-                (self.dataset.has(int(u), int(v)) for u, v in zip(users, neg_items)),
-                dtype=bool,
-                count=users.size,
-            )
+            clash = index.contains(users, neg_items)
             if not clash.any():
                 break
             neg_items[clash] = rng.integers(0, self.dataset.n_items, size=int(clash.sum()))
 
-        h = self._user_repr_batch(users, rng)
-        z_pos = self._item_repr_batch(pos_items, rng)
-        z_neg = self._item_repr_batch(neg_items, rng)
+        h = self._user_repr_batch(index, users, rng)
+        z_pos = self._item_repr_batch(index, pos_items, rng)
+        z_neg = self._item_repr_batch(index, neg_items, rng)
         inv_temp = 1.0 / self.temperature
         pos_scores = (h * z_pos).sum(axis=1) * inv_temp
         neg_scores = (h * z_neg).sum(axis=1) * inv_temp
@@ -342,15 +326,15 @@ class PinSageRecommender(Recommender):
             self._H = np.stack(
                 [self.user_representation(profile) for _, profile in dataset.iter_profiles()]
             )
-            self._item_h_sum = np.zeros((dataset.n_items, self.n_factors))
-            self._item_h_plain = np.zeros((dataset.n_items, self.n_factors))
-            self._item_h_count = np.zeros(dataset.n_items)
-            for user_id, profile in dataset.iter_profiles():
-                weight = 1.0 / np.sqrt(len(profile))
-                for item_id in profile:
-                    self._item_h_sum[item_id] += self._H[user_id] * weight
-                    self._item_h_plain[item_id] += self._H[user_id]
-                    self._item_h_count[item_id] += 1
+            # One scatter-add per cache over every profile entry in user
+            # order: an item's rows sum in the order add_user folds users in.
+            n_items = dataset.n_items
+            users, items = dataset.interaction_arrays()
+            h = self._H[users]
+            weight = (1.0 / np.sqrt(dataset.profile_lengths()))[users, None]
+            self._item_h_sum = scatter_add_rows(items, h * weight, n_items)
+            self._item_h_plain = scatter_add_rows(items, h, n_items)
+            self._item_h_count = np.bincount(items, minlength=n_items).astype(np.float64)
             self._Z = self._item_representation_rows(np.arange(dataset.n_items))
 
     # ------------------------------------------------------------------- scoring

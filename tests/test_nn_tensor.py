@@ -180,6 +180,25 @@ class TestBackward:
         x.gather_rows([1, 1, 2]).sum().backward()
         np.testing.assert_allclose(x.grad, [[0, 0], [2, 2], [1, 1]])
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gather_rows_grad_bitwise_equals_add_at(self, seed):
+        """The scatter-add backward sums each row in index order, exactly as
+        ``np.add.at`` does, so the gradients agree bit for bit (duplicates,
+        negative indices, 2-D index arrays and 1-D/3-D tables included)."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        row_shape = [(), (int(rng.integers(1, 5)),), (2, 3)][seed % 3]
+        idx = rng.integers(-n, n, size=(int(rng.integers(0, 30)),))
+        if seed % 2:
+            idx = idx[: idx.size // 2 * 2].reshape(-1, 2)
+        x = Tensor(rng.normal(size=(n, *row_shape)), requires_grad=True)
+        g_shape = idx.shape + row_shape
+        upstream = rng.normal(size=g_shape) * 10.0 ** rng.integers(-8, 8, size=g_shape)
+        (x.gather_rows(idx) * Tensor(upstream)).sum().backward()
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, idx, upstream)
+        np.testing.assert_array_equal(x.grad, expected)
+
     def test_getitem_int_grad(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         x[1].backward()
