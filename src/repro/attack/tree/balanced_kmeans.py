@@ -36,17 +36,18 @@ def kmeans(
     n, _ = points.shape
     if not 1 <= n_clusters <= n:
         raise ConfigurationError(f"n_clusters must be in [1, {n}], got {n_clusters}")
-    # k-means++ seeding
+    # k-means++ seeding.  ``d2`` is each point's squared distance to its
+    # nearest chosen centroid, kept up to date with one O(n) minimum per
+    # new centroid instead of recomputing against all of them.
     centroids = [points[rng.integers(n)]]
+    d2 = ((points - centroids[0]) ** 2).sum(-1)
     for _ in range(n_clusters - 1):
-        d2 = np.min(
-            ((points[:, None, :] - np.asarray(centroids)[None, :, :]) ** 2).sum(-1), axis=1
-        )
         total = d2.sum()
         if total <= 0:
             centroids.append(points[rng.integers(n)])
-            continue
-        centroids.append(points[rng.choice(n, p=d2 / total)])
+        else:
+            centroids.append(points[rng.choice(n, p=d2 / total)])
+        d2 = np.minimum(d2, ((points - centroids[-1]) ** 2).sum(-1))
     centers = np.asarray(centroids, dtype=np.float64)
 
     for _ in range(n_iter):

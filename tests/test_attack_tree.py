@@ -39,6 +39,45 @@ class TestKMeans:
             kmeans(rng.normal(size=(5, 2)), 6, rng)
 
 
+def _quadratic_seeding(points, n_clusters, rng):
+    """The original k-means++ seeding: distances to every centroid, every round."""
+    n = points.shape[0]
+    centroids = [points[rng.integers(n)]]
+    for _ in range(n_clusters - 1):
+        d2 = np.min(
+            ((points[:, None, :] - np.asarray(centroids)[None, :, :]) ** 2).sum(-1), axis=1
+        )
+        total = d2.sum()
+        if total <= 0:
+            centroids.append(points[rng.integers(n)])
+            continue
+        centroids.append(points[rng.choice(n, p=d2 / total)])
+    return np.asarray(centroids, dtype=np.float64)
+
+
+class TestKMeansSeedingOracle:
+    """The running-minimum seeding draws and returns exactly what the old one did."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_bitwise_equal_to_quadratic_seeding(self, case):
+        meta = np.random.default_rng(1000 + case)
+        n = int(meta.integers(1, 60))
+        dim = int(meta.integers(1, 9))
+        points = meta.normal(size=(n, dim))
+        if case % 3 == 0:
+            # Duplicates: some rounds see zero distance everywhere chosen.
+            points = points[meta.integers(0, max(1, n // 4), size=n)]
+        if case % 10 == 5:
+            points = np.zeros((n, dim))  # every point identical: total == 0 path
+        k = int(meta.integers(1, n + 1))
+        old_rng = np.random.default_rng(case)
+        new_rng = np.random.default_rng(case)
+        expected = _quadratic_seeding(points, k, old_rng)
+        got = kmeans(points, k, new_rng, n_iter=0)
+        np.testing.assert_array_equal(got, expected)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
 class TestBalancedAssignment:
     def test_sizes_off_by_at_most_one(self, rng):
         points = rng.normal(size=(17, 3))
