@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import socket
@@ -105,7 +106,8 @@ def _meta(seeds: list[int]) -> dict:
 def collect(seeds: list[int], jobs: int) -> dict[str, dict]:
     """``{row: {metric: [value per seed] or None, "band": {metric: [lo, hi]}}}``."""
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
             per_seed = list(pool.map(_rows_for_seed, seeds))
     else:
         per_seed = [_rows_for_seed(seed) for seed in seeds]
@@ -143,12 +145,13 @@ def main(argv: list[str] | None = None) -> int:
         "--check", action="store_true", help="recompute and compare with --out; write nothing"
     )
     args = parser.parse_args(argv)
-    rows = collect(args.seeds, max(1, args.jobs))
     if args.check:
         recorded = json.loads(args.out.read_text())
         if recorded["meta"]["seeds"] != args.seeds:
             print(f"recorded seeds {recorded['meta']['seeds']} != {args.seeds}")
             return 1
+    rows = collect(args.seeds, max(1, args.jobs))
+    if args.check:
         mismatches = compare(recorded["rows"], rows)
         for line in mismatches:
             print(line)

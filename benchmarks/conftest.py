@@ -5,23 +5,46 @@ target-model training take ~1-2 minutes each); every benchmark then runs
 attacks against snapshots of the same platforms, mirroring how the paper
 evaluates all methods against one fixed trained recommender.
 
-``report`` prints paper-style tables straight to the terminal (bypassing
-pytest capture) and appends them to ``benchmarks/results/report.txt``,
-which is emptied once at the start of each session, so a run leaves
-exactly one copy of every table it printed.  ``pytest benchmarks/
---benchmark-only | tee bench_output.txt`` captures both the tables and
-pytest-benchmark's timing summary.
+Every file a benchmark writes goes through :func:`results_dir`: by
+default the untracked ``benchmarks/results/run/``, so a test run leaves
+the checkout unchanged; with ``--write-baseline`` the committed files in
+``benchmarks/results/``.  ``report`` prints paper-style tables straight
+to the terminal (bypassing pytest capture) and writes them to
+``report.txt`` in that directory, emptied once at the start of each
+session, so a run leaves exactly one copy of every table it printed.
+``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures
+both the tables and pytest-benchmark's timing summary.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import ML10M_FX, ML20M_NF, prepare_experiment
 
-RESULTS_DIR = Path(__file__).parent / "results"
+BASELINE_DIR = Path(__file__).parent / "results"
+RUN_DIR = BASELINE_DIR / "run"
+
+
+def results_dir(config: pytest.Config) -> Path:
+    """Where this session's benchmark results go (created on demand)."""
+    path = BASELINE_DIR if config.getoption("--write-baseline") else RUN_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+@pytest.fixture
+def write_result(request):
+    """``write_result(name, payload)``: dump ``payload`` as JSON into :func:`results_dir`."""
+
+    def _write(name: str, payload: dict) -> None:
+        path = results_dir(request.config) / name
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    return _write
 
 
 @pytest.fixture(scope="session")
@@ -37,10 +60,9 @@ def prep_ml20m():
 
 
 @pytest.fixture(scope="session")
-def report_path() -> Path:
-    """``report.txt``, truncated on first use in a session."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "report.txt"
+def report_path(request) -> Path:
+    """``report.txt`` in :func:`results_dir`, truncated on first use in a session."""
+    path = results_dir(request.config) / "report.txt"
     path.write_text("")
     return path
 

@@ -18,17 +18,16 @@ Each quantity is best-of-``REPEATS`` and asserted against a generous
 regression ceiling (~6x the dev-host measurement, leaving headroom for
 slower CI runners while still catching an accidental return to the
 per-user Python loops, which were 10-40x over these ceilings).  The
-measured values and ceilings are written to
-``benchmarks/results/BENCH_hotpath.json`` so the perf trajectory
-accumulates across PRs; CI runs this file as its hot-path smoke leg and
+measured values and ceilings are written to ``BENCH_hotpath.json`` in
+the results directory (``benchmarks/results/run/``; the committed
+baseline in ``benchmarks/results/`` changes only with
+``--write-baseline``); CI runs this file as its hot-path smoke leg and
 uploads the JSON as an artifact.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from repro.serving.sharded import (
     scatter_to_request_order,
 )
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 N_USERS = 4096  # batch large enough that per-batch setup amortises out
 K = 20
@@ -74,7 +72,7 @@ def _workload():
     return users, rows
 
 
-def test_hotpath_microbench(report):
+def test_hotpath_microbench(report, write_result):
     users, rows = _workload()
     user_list = users.tolist()
 
@@ -134,9 +132,7 @@ def test_hotpath_microbench(report):
             "merge": CEILING_MERGE_NS,
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / "BENCH_hotpath.json", "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
+    write_result("BENCH_hotpath.json", result)
 
     table_rows = [
         ["cache hit", hit_ns, CEILING_CACHE_HIT_NS],

@@ -14,19 +14,16 @@ Acceptance floors (CI-gated):
   cleared) is at least the threaded engine's on the steady workload;
 * every curve point reports p50/p95/p99 and a conserved denial split.
 
-The full sweep is written to ``benchmarks/results/BENCH_latency.json``
-so the latency trajectory accumulates across PRs; CI runs a reduced
+The full sweep is written to ``BENCH_latency.json`` in the results
+directory (``benchmarks/results/run/``, or the committed baseline in
+``benchmarks/results/`` with ``--write-baseline``); CI runs a reduced
 sweep as its latency-smoke leg and uploads the same JSON.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.experiments import format_table, run_latency_curve
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 N_SHARDS = 4
 COHORT = 64
@@ -37,7 +34,7 @@ SHARD_LATENCY_S = 0.002
 ASYNC_PEAK_FLOOR = COHORT / SHARD_LATENCY_S  # = 32_000 users/s
 
 
-def test_latency_curve(prep_ml10m, benchmark, report):
+def test_latency_curve(prep_ml10m, benchmark, report, write_result):
     result = benchmark.pedantic(
         lambda: run_latency_curve(
             prep_ml10m.mf,
@@ -108,7 +105,4 @@ def test_latency_curve(prep_ml10m, benchmark, report):
         >= threaded_result["workloads"]["steady"]["knee_users_per_s"]
     )
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / "BENCH_latency.json", "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_result("BENCH_latency.json", result)

@@ -3,9 +3,10 @@
 Runs :func:`repro.experiments.rollout_bench.run_rollout_bench` twice —
 the survival curve on the threaded engine at reference scale, and a
 process-engine parity check at reduced scale (real subprocess replicas,
-real staged-model pickles crossing the boundary) — and commits the
-combined report to ``benchmarks/results/BENCH_rollout.json`` so the
-attack-survival trajectory accumulates across PRs.
+real staged-model pickles crossing the boundary) — and writes the
+combined report to ``BENCH_rollout.json`` in the results directory
+(``benchmarks/results/run/``, or the committed baseline in
+``benchmarks/results/`` with ``--write-baseline``).
 
 Gated facts (CI fails if any regresses):
 
@@ -21,12 +22,7 @@ Gated facts (CI fails if any regresses):
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.experiments import format_table, run_rollout_bench
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def _assert_gates(result: dict, leg: str) -> None:
@@ -34,7 +30,7 @@ def _assert_gates(result: dict, leg: str) -> None:
     assert not failed, f"{leg}: gates failed: {failed}"
 
 
-def test_rollout_attack_survival(report):
+def test_rollout_attack_survival(report, write_result):
     main = run_rollout_bench(engine="threaded")
     _assert_gates(main, "threaded")
 
@@ -48,10 +44,7 @@ def test_rollout_attack_survival(report):
     _assert_gates(process_check, "process/sliced")
 
     result = {"main": main, "process_check": process_check}
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / "BENCH_rollout.json", "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_result("BENCH_rollout.json", result)
 
     rows = [
         ["baseline", "-", main["baseline"]["target_hit_rate"],

@@ -14,27 +14,23 @@ Acceptance targets:
   beats the serial fan-out by >= 1.5x measured wall clock at 4 shards
   on the MF cohort, despite paying real serialization on every slice.
 
-Results are appended to ``benchmarks/results/report.txt`` and dumped to
-``benchmarks/results/BENCH_serving.json`` so the perf trajectory
-accumulates across PRs (CI writes the same JSON via
-``repro-bench serve --json``).
+Results go to ``report.txt`` and ``BENCH_serving.json`` in the results
+directory (``benchmarks/results/run/``, or the committed baseline in
+``benchmarks/results/`` with ``--write-baseline``); CI writes the same
+JSON via ``repro-bench serve --json``.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.experiments import format_table, run_serving_benchmark
 
-RESULTS_DIR = Path(__file__).parent / "results"
 COHORT = 64
 SPEEDUP_FLOOR = 5.0
 ENGINE_SPEEDUP_FLOOR = 1.5  # measured wall clock, threaded vs serial at 4 shards
 PROCESS_SPEEDUP_FLOOR = 1.5  # measured wall clock, process vs serial at 4 shards
 
 
-def test_serving_batch_and_traffic(prep_ml10m, benchmark, report):
+def test_serving_batch_and_traffic(prep_ml10m, benchmark, report, write_result):
     result = benchmark.pedantic(
         lambda: run_serving_benchmark(
             prep_ml10m, cohort_size=COHORT, n_requests=300, repeats=7, ncf_factors=48
@@ -95,9 +91,7 @@ def test_serving_batch_and_traffic(prep_ml10m, benchmark, report):
         )
     )
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / "BENCH_serving.json", "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
+    write_result("BENCH_serving.json", result)
 
     # Correctness first: a faster path that changes results is a bug.
     for name, r in speedups.items():

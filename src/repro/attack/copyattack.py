@@ -37,7 +37,7 @@ from repro.attack.environment import AttackEnvironment, EpisodeTrace
 from repro.attack.policies.crafting_policy import CraftingPolicy
 from repro.attack.policies.flat import FlatPolicy
 from repro.attack.policies.hierarchical import HierarchicalTreePolicy
-from repro.attack.policies.state import PolicyStateEncoder
+from repro.attack.policies.state import PolicyStateEncoder, SelectionPrefix
 from repro.attack.reinforce import EpisodeBuffer, ReinforceTrainer
 from repro.attack.tree.hierarchy import HierarchicalClusterTree
 from repro.attack.tree.masking import TargetItemMask
@@ -215,12 +215,16 @@ class CopyAttackAgent:
         mask: TargetItemMask,
         greedy: bool = False,
     ) -> EpisodeBuffer:
-        """Play one full episode in ``env`` (which must be freshly reset)."""
+        """Play one full episode in ``env`` (which must be freshly reset).
+
+        The episode's :class:`SelectionPrefix` carries the RNN state from
+        step to step, so encoding is linear in the episode length.
+        """
         buffer = EpisodeBuffer()
         mask.reset_exclusions()
-        selected: list[int] = []
+        prefix = SelectionPrefix()
         while not env.done:
-            state = self.encoder.encode(env.target_item, selected)
+            state = self.encoder.encode(env.target_item, prefix)
             try:
                 selection = self.selection_policy.select(
                     state, mask, seed=self._sample_rng, greedy=greedy
@@ -240,7 +244,7 @@ class CopyAttackAgent:
                 log_prob = log_prob + craft_log_prob
             outcome = env.step(profile, selected_user=selection.user_id)
             buffer.record(log_prob, outcome.reward)
-            selected.append(selection.user_id)
+            prefix.append(selection.user_id)
         return buffer
 
     # ------------------------------------------------------------------ training

@@ -20,7 +20,31 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nn import Module, SequenceEncoder, Tensor, concat
 
-__all__ = ["PolicyStateEncoder"]
+__all__ = ["PolicyStateEncoder", "SelectionPrefix"]
+
+
+class SelectionPrefix:
+    """The users selected so far in one episode, with the RNN state after each.
+
+    :meth:`PolicyStateEncoder.encode` advances it over the users appended
+    since its last call, so an episode of ``T`` steps runs ``T`` RNN cell
+    steps instead of ``T(T-1)/2`` and every step's state shares one graph.
+    The states hold autograd graphs over the encoder's current weights,
+    which change with every REINFORCE update, so a prefix lives for one
+    episode (:meth:`CopyAttackAgent.rollout` owns it) and is never kept
+    on the encoder.
+    """
+
+    def __init__(self, users: Sequence[int] = ()) -> None:
+        self.users: list[int] = [int(u) for u in users]
+        self.states: list[Tensor] = []  # states[i]: packed RNN state after users[: i + 1]
+
+    def append(self, user_id: int) -> None:
+        """Record the next selected user (encoded on the next ``encode``)."""
+        self.users.append(int(user_id))
+
+    def __len__(self) -> int:
+        return len(self.users)
 
 
 class PolicyStateEncoder(Module):
@@ -58,9 +82,22 @@ class PolicyStateEncoder(Module):
         """Pre-trained MF embedding ``q^B_v`` of a source-domain item."""
         return self.item_embeddings[item_id]
 
-    def encode(self, target_item: int, selected_users: Sequence[int]) -> Tensor:
-        """Autograd state vector for the current step."""
-        steps = [Tensor(self.user_embeddings[u]) for u in selected_users]
-        x = self.rnn(steps)
+    def encode(
+        self, target_item: int, selected_users: SelectionPrefix | Sequence[int]
+    ) -> Tensor:
+        """Autograd state vector ``q ⊕ h`` for the current step.
+
+        A :class:`SelectionPrefix` is advanced in place over the users
+        appended since the last call; a plain sequence of user ids is
+        encoded from the zero state.  Either way the values equal a fresh
+        run of the RNN over the whole sequence, bit for bit.
+        """
+        prefix = selected_users
+        if not isinstance(prefix, SelectionPrefix):
+            prefix = SelectionPrefix(prefix)
+        state = prefix.states[-1] if prefix.states else self.rnn.initial_state()
+        for user_id in prefix.users[len(prefix.states):]:
+            state = self.rnn.step(state, Tensor(self.user_embeddings[user_id]))
+            prefix.states.append(state)
         q = Tensor(self.item_embeddings[target_item])
-        return concat([q, x], axis=-1)
+        return concat([q, self.rnn.hidden(state)], axis=-1)

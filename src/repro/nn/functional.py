@@ -1,9 +1,12 @@
-"""Functional building blocks composed from primitive tensor ops.
+"""Functional building blocks over the tensor ops.
 
 These mirror the handful of TensorFlow functions the paper relies on:
 ``softmax`` for the per-node child distributions, a *masked* softmax for
 the masking mechanism of Section 4.3.2, and numerically-stable log
-variants used by the REINFORCE loss.
+variants used by the REINFORCE loss.  ``linear`` and the two log-softmax
+variants are fused: each is one graph node whose forward value is
+bitwise equal to the composite of primitive ops it replaces, so the
+graph an agent episode builds (and walks backward) is smaller.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.tensor import Tensor, as_tensor, matmul_grad_lhs, matmul_grad_rhs
 
 __all__ = [
+    "linear",
     "softmax",
     "log_softmax",
     "masked_softmax",
@@ -48,11 +52,45 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return (a * b).sum()
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` as one graph node (``bias`` may be None)."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    out_data = x.data @ weight.data
+    if bias is not None:
+        out_data = out_data + bias.data
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(matmul_grad_lhs(g, x.data, weight.data))
+        if weight.requires_grad:
+            weight._accumulate(matmul_grad_rhs(g, x.data, weight.data))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out_data, parents, backward)
+
+
+def _log_softmax_node(logits: Tensor, z: np.ndarray, axis: int) -> Tensor:
+    """One node computing ``log_softmax(z)``; its gradient flows to ``logits``.
+
+    ``z`` is ``logits.data`` plus any constant offset.  The arithmetic is
+    the composite's, op for op: subtract the detached max, then the log
+    of the summed exponentials.
+    """
+    shifted = z + (-z.max(axis=axis, keepdims=True))
+    out_data = shifted + (-np.log(np.exp(shifted).sum(axis=axis, keepdims=True)))
+
+    def backward(g: np.ndarray) -> None:
+        logits._accumulate(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+
+    return Tensor._make(out_data, (logits,), backward)
+
+
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable ``log(softmax(logits))`` along ``axis``."""
     logits = as_tensor(logits)
-    shifted = logits - logits.max(axis=axis, keepdims=True).detach()
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+    return _log_softmax_node(logits, logits.data, axis)
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -87,8 +125,7 @@ def masked_log_softmax(logits: Tensor, mask, axis: int = -1) -> Tensor:
     arr = _mask_array(mask, logits.shape)
     if not arr.any(axis=axis).all():
         raise ShapeError("masked_log_softmax: at least one position must be unmasked")
-    offset = np.where(arr, 0.0, -1e9)
-    return log_softmax(logits + Tensor(offset), axis=axis)
+    return _log_softmax_node(logits, logits.data + np.where(arr, 0.0, -1e9), axis)
 
 
 def masked_softmax(logits: Tensor, mask, axis: int = -1) -> Tensor:

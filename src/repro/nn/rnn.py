@@ -151,20 +151,37 @@ class SequenceEncoder(Module):
         self.hidden_dim = hidden_dim
         self.cell = _CELLS[cell](input_dim, hidden_dim, rng)
 
-    def forward(self, steps: Sequence[Tensor]) -> Tensor:
-        """Run the recurrence over ``steps``; returns the final ``h`` (1-D).
+    def initial_state(self) -> Tensor:
+        """The packed zero state, shape ``(1, state_dim)``, before any input."""
+        return Tensor(np.zeros((1, self.cell.state_dim)))
+
+    def step(self, state: Tensor, x: Tensor) -> Tensor:
+        """Advance the packed ``(1, state_dim)`` state by one input vector.
+
+        This is the recurrence; :meth:`forward` folds over it, and a caller
+        that grows a sequence one element at a time (the CopyAttack policy
+        state) carries the state across calls instead of re-running the
+        prefix.
+        """
+        return self.cell(x.reshape(1, -1) if x.ndim == 1 else x, state)
+
+    def hidden(self, state: Tensor) -> Tensor:
+        """The exposed 1-D ``h`` of a packed state.
 
         Cells may carry extra state beyond ``h`` (the LSTM carries its cell
         state); only the first ``hidden_dim`` entries are exposed.
         """
-        state = Tensor(np.zeros(self.cell.state_dim))
-        for step in steps:
-            x = step.reshape(1, -1) if step.ndim == 1 else step
-            carried = state.reshape(1, -1) if state.ndim == 1 else state
-            state = self.cell(x, carried).reshape(self.cell.state_dim)
+        flat = state.reshape(self.cell.state_dim)
         if self.cell.state_dim == self.hidden_dim:
-            return state
-        return state[:self.hidden_dim]
+            return flat
+        return flat[:self.hidden_dim]
+
+    def forward(self, steps: Sequence[Tensor]) -> Tensor:
+        """Run the recurrence over ``steps``; returns the final ``h`` (1-D)."""
+        state = self.initial_state()
+        for x in steps:
+            state = self.step(state, x)
+        return self.hidden(state)
 
     def encode_matrix(self, matrix: np.ndarray) -> Tensor:
         """Encode the rows of a (steps, input_dim) array without grads to inputs."""

@@ -94,6 +94,22 @@ def scatter_add_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return out.reshape((n,) + rows.shape[1:])
 
 
+def matmul_grad_lhs(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient reaching ``a`` of ``a @ b`` from the output gradient ``g``."""
+    if b.ndim == 1:
+        return np.outer(g, b) if g.ndim else g * b
+    g2 = g if g.ndim > 1 else g.reshape(1, -1)
+    return (g2 @ b.swapaxes(-1, -2)).reshape(a.shape)
+
+
+def matmul_grad_rhs(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient reaching ``b`` of ``a @ b`` from the output gradient ``g``."""
+    if a.ndim == 1:
+        return np.outer(a, g) if g.ndim else a * g
+    g2 = g if g.ndim > 1 else g.reshape(-1, 1)
+    return (a.swapaxes(-1, -2) @ g2).reshape(b.shape)
+
+
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode autodiff.
 
@@ -250,19 +266,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accumulate(np.outer(g, other.data) if g.ndim else g * other.data)
-                else:
-                    g2 = g if g.ndim > 1 else g.reshape(1, -1)
-                    lhs = g2 @ other.data.swapaxes(-1, -2)
-                    self._accumulate(lhs.reshape(self.data.shape))
+                self._accumulate(matmul_grad_lhs(g, self.data, other.data))
             if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, g) if g.ndim else self.data * g)
-                else:
-                    g2 = g if g.ndim > 1 else g.reshape(-1, 1)
-                    rhs = self.data.swapaxes(-1, -2) @ g2
-                    other._accumulate(rhs.reshape(other.data.shape))
+                other._accumulate(matmul_grad_rhs(g, self.data, other.data))
 
         return Tensor._make(out_data, (self, other), backward)
 
