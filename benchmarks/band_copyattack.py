@@ -1,6 +1,6 @@
 """Seed band of the CopyAttack-family paper results (HR@20 / NDCG@20).
 
-Records, for prepare seeds 0-4 by default, every Table 2 / Figure 3-5 row
+Records, for prepare seeds 0-4, every Table 2 / Figure 3-5 row
 whose value depends on the CopyAttack agent's arithmetic: the
 PolicyNetwork, CopyAttack-Masking, CopyAttack-Length and CopyAttack rows
 of Table 2 on both dataset pairs, and the CopyAttack rows of Figures 3-5
@@ -40,6 +40,7 @@ METRICS = ("hr@20", "ndcg@20")
 AGENT_METHODS = ("PolicyNetwork", "CopyAttack-Masking", "CopyAttack-Length", "CopyAttack")
 FIG3_DEPTHS = (1, 2, 3, 4, 6)
 FIG5_BUDGETS = (5, 10, 20, 30)
+SEEDS = [0, 1, 2, 3, 4]
 
 
 def _pick(outcome) -> dict[str, float]:
@@ -104,7 +105,7 @@ def _meta(seeds: list[int]) -> dict:
 
 
 def collect(seeds: list[int], jobs: int) -> dict[str, dict]:
-    """``{row: {metric: [value per seed] or None, "band": {metric: [lo, hi]}}}``."""
+    """``{row: {metric: [value per seed] or None}}``."""
     if jobs > 1:
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
@@ -118,9 +119,6 @@ def collect(seeds: list[int], jobs: int) -> dict[str, dict]:
             rows[name] = {metric: None for metric in METRICS}
             continue
         rows[name] = {metric: [v[metric] for v in values] for metric in METRICS}
-        rows[name]["band"] = {
-            metric: [min(rows[name][metric]), max(rows[name][metric])] for metric in METRICS
-        }
     return rows
 
 
@@ -138,30 +136,22 @@ def compare(recorded: dict[str, dict], fresh: dict[str, dict]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     parser.add_argument("--jobs", type=int, default=1, help="seeds run in parallel processes")
-    parser.add_argument("--out", type=Path, default=BAND_PATH)
     parser.add_argument(
-        "--check", action="store_true", help="recompute and compare with --out; write nothing"
+        "--check", action="store_true", help="recompute and compare with the record; write nothing"
     )
     args = parser.parse_args(argv)
+    rows = collect(SEEDS, max(1, args.jobs))
     if args.check:
-        recorded = json.loads(args.out.read_text())
-        if recorded["meta"]["seeds"] != args.seeds:
-            print(f"recorded seeds {recorded['meta']['seeds']} != {args.seeds}")
-            return 1
-    rows = collect(args.seeds, max(1, args.jobs))
-    if args.check:
-        mismatches = compare(recorded["rows"], rows)
+        mismatches = compare(json.loads(BAND_PATH.read_text())["rows"], rows)
         for line in mismatches:
             print(line)
-        print(f"{len(rows)} rows x {len(METRICS)} metrics x {len(args.seeds)} seeds: "
+        print(f"{len(rows)} rows x {len(METRICS)} metrics x {len(SEEDS)} seeds: "
               f"{'all equal to the record' if not mismatches else f'{len(mismatches)} differ'}")
         return 1 if mismatches else 0
-    result = {"meta": _meta(args.seeds), "metrics": list(METRICS), "rows": rows}
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    result = {"meta": _meta(SEEDS), "metrics": list(METRICS), "rows": rows}
+    BAND_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(rows)} rows to {BAND_PATH}")
     return 0
 
 
